@@ -1,21 +1,18 @@
-//! Micro-benchmarks of the arch-dispatched kernel tiers: every family
-//! (Lemma 2.6 digit DP, argmin, bit accounting) timed under each of the
-//! four tiers (`reference` / `scalar` / `simd` / `incremental`), on the
-//! same workloads the committed `BENCH_bench.json` records. The
-//! incremental `edge_shares` row is the warm-cache `edge_shares_cached`
-//! path — the steady state of the Lemma 2.6 drivers.
+//! Micro-benchmarks of the kernels: the Lemma 2.6 digit DP entry points
+//! and the candidate argmin, on the same workloads the committed
+//! `BENCH_bench.json` records. The `edge_shares` row is the warm-cache
+//! `edge_shares_cached` path — the steady state of the Lemma 2.6 drivers.
 //!
 //! The digit-DP fixture matches `bench_derand`, so
-//! `kernels/digit_dp/joint_coin_probs/reference` reproduces the historical
-//! `joint_coin_probs` number and the scalar/simd rows read as speedups
-//! over it.
+//! `kernels/digit_dp/joint_coin_probs` reads against the `joint_coin_probs`
+//! row there.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::SliceFamily;
-use dcl_kernels::KernelTier;
+use dcl_kernels::digit_dp::{self, EdgeDpCache};
 
-fn kernel_tiers(c: &mut Criterion) {
+fn kernels(c: &mut Criterion) {
     let fam = SliceFamily::new(10, 14);
     let mut seed = PartialSeed::new(fam.seed_len());
     for i in (0..fam.seed_len()).step_by(2) {
@@ -35,46 +32,22 @@ fn kernel_tiers(c: &mut Criterion) {
     let scores: Vec<f64> = (0..4096u64)
         .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
         .collect();
-    let vals: Vec<u64> = (0..4096u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let mut lens = vec![0u32; vals.len()];
 
-    for tier in KernelTier::all() {
-        dcl_kernels::set_active_tier(tier);
-        c.bench_function(
-            &format!("kernels/digit_dp/joint_coin_probs/{}", tier.name()),
-            |b| b.iter(|| dcl_kernels::digit_dp::joint_coin_probs(&fx, 9000, &fy, 4000)),
-        );
-        let es_id = format!("kernels/digit_dp/edge_shares/{}", tier.name());
-        if tier == KernelTier::Incremental {
-            let mut cache = dcl_kernels::digit_dp::EdgeDpCache::new();
-            c.bench_function(&es_id, |b| {
-                b.iter(|| {
-                    dcl_kernels::digit_dp::edge_shares_cached(
-                        &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-                    )
-                })
-            });
-        } else {
-            c.bench_function(&es_id, |b| {
-                b.iter(|| {
-                    dcl_kernels::digit_dp::edge_shares(
-                        &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-                    )
-                })
-            });
-        }
-        c.bench_function(&format!("kernels/argmin/4096/{}", tier.name()), |b| {
-            b.iter(|| dcl_kernels::argmin::argmin_f64(&scores))
-        });
-        c.bench_function(
-            &format!("kernels/bit_len_batch/4096/{}", tier.name()),
-            |b| b.iter(|| dcl_kernels::bits::bit_len_batch(&vals, &mut lens)),
-        );
-    }
-    dcl_kernels::clear_active_tier();
+    c.bench_function("kernels/digit_dp/joint_coin_probs", |b| {
+        b.iter(|| digit_dp::joint_coin_probs_override(&fx, None, 9000, &fy, None, 4000))
+    });
+    let mut cache = EdgeDpCache::new();
+    c.bench_function("kernels/digit_dp/edge_shares", |b| {
+        b.iter(|| {
+            digit_dp::edge_shares_cached(
+                &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
+            )
+        })
+    });
+    c.bench_function("kernels/argmin/4096", |b| {
+        b.iter(|| dcl_sim::argmin_f64(None, scores.len(), |i| scores[i]))
+    });
 }
 
-criterion_group!(benches, kernel_tiers);
+criterion_group!(benches, kernels);
 criterion_main!(benches);

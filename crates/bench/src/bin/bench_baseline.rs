@@ -27,8 +27,8 @@ use std::time::Instant;
 
 /// `--check` flags a row when `new > CHECK_TOLERANCE × committed`.
 /// Generous on purpose: the committed numbers come from one quiet machine,
-/// and the check exists to catch order-of-magnitude dispatch mistakes
-/// (a tier accidentally demoted to reference), not percent-level noise.
+/// and the check exists to catch order-of-magnitude mistakes (a cache that
+/// never hits, an accidentally quadratic loop), not percent-level noise.
 const CHECK_TOLERANCE: f64 = 3.0;
 
 struct BenchRow {
@@ -62,8 +62,7 @@ fn time_bench<O, F: FnMut() -> O>(
 }
 
 /// Parses `id -> ns_per_iter` out of a committed baseline. The committed
-/// layout is one row object per line, so line-oriented matching suffices —
-/// the same approach `dcl_kernels/tests/family_dispatch.rs` pins.
+/// layout is one row object per line, so line-oriented matching suffices.
 fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for line in text.lines() {
@@ -164,22 +163,6 @@ fn main() {
             "theorem_1_1/d_sweep/hcube6",
             || color_list_instance(&hcube, &CongestColoringConfig::default()),
         ));
-        // Before/after pair for the incremental digit DP at the system
-        // level: the same Theorem 1.1 run forced to the reference tier and
-        // to the prefix-cached tier. The unforced row above is the shipped
-        // per-family default.
-        for tier in [
-            dcl_kernels::KernelTier::Reference,
-            dcl_kernels::KernelTier::Incremental,
-        ] {
-            dcl_kernels::set_active_tier(tier);
-            rows.push(time_bench(
-                "bench_congest",
-                format!("theorem_1_1/n_sweep/64/{}", tier.name()),
-                || color_list_instance(&inst, &CongestColoringConfig::default()),
-            ));
-        }
-        dcl_kernels::clear_active_tier();
     }
 
     // --- bench_partial -----------------------------------------------------
@@ -302,20 +285,15 @@ fn main() {
     }
 
     // --- bench_kernels ------------------------------------------------------
-    // Each kernel family timed once per tier (reference / scalar / simd /
-    // incremental), so the committed baseline records the tier speedups on
-    // this machine — `default_family_tier` is pinned against these rows by
-    // `dcl_kernels/tests/family_dispatch.rs`. The digit-DP workload matches
-    // the bench_derand rows above, making
-    // "kernels/digit_dp/joint_coin_probs/reference" directly comparable to
-    // "bench_derand joint_coin_probs". The edge_shares row of the
-    // incremental tier is the warm-cache path (`edge_shares_cached` with a
-    // persistent `EdgeDpCache`) — the steady state of the Lemma 2.6 drivers,
-    // which evaluate each edge (m+1)×2 times per slice against one cache.
+    // Each kernel timed once. The digit-DP workload matches the
+    // bench_derand rows above. The edge_shares row is the warm-cache path
+    // (`edge_shares_cached` with a persistent `EdgeDpCache`) — the steady
+    // state of the Lemma 2.6 drivers, which evaluate each edge (m+1)×2
+    // times per slice against one cache.
     {
         use dcl_derand::seed::PartialSeed;
         use dcl_derand::slice::SliceFamily;
-        use dcl_kernels::KernelTier;
+        use dcl_kernels::digit_dp::{self, EdgeDpCache};
         let fam = SliceFamily::new(10, 14);
         let mut seed = PartialSeed::new(fam.seed_len());
         for i in (0..fam.seed_len()).step_by(2) {
@@ -337,45 +315,24 @@ fn main() {
         let scores: Vec<f64> = (0..4096u64)
             .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
             .collect();
-        let vals: Vec<u64> = (0..4096u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        let mut lens = vec![0u32; vals.len()];
-        for tier in KernelTier::all() {
-            dcl_kernels::set_active_tier(tier);
-            let name = tier.name();
-            rows.push(time_bench(
-                "bench_kernels",
-                format!("kernels/digit_dp/joint_coin_probs/{name}"),
-                || dcl_kernels::digit_dp::joint_coin_probs(&fx, 9000, &fy, 4000),
-            ));
-            let es_id = format!("kernels/digit_dp/edge_shares/{name}");
-            if tier == KernelTier::Incremental {
-                let mut cache = dcl_kernels::digit_dp::EdgeDpCache::new();
-                rows.push(time_bench("bench_kernels", es_id, || {
-                    dcl_kernels::digit_dp::edge_shares_cached(
-                        &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-                    )
-                }));
-            } else {
-                rows.push(time_bench("bench_kernels", es_id, || {
-                    dcl_kernels::digit_dp::edge_shares(
-                        &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-                    )
-                }));
-            }
-            rows.push(time_bench(
-                "bench_kernels",
-                format!("kernels/argmin/4096/{name}"),
-                || dcl_kernels::argmin::argmin_f64(&scores),
-            ));
-            rows.push(time_bench(
-                "bench_kernels",
-                format!("kernels/bit_len_batch/4096/{name}"),
-                || dcl_kernels::bits::bit_len_batch(&vals, &mut lens),
-            ));
-        }
-        dcl_kernels::clear_active_tier();
+        rows.push(time_bench(
+            "bench_kernels",
+            "kernels/digit_dp/joint_coin_probs",
+            || digit_dp::joint_coin_probs_override(&fx, None, 9000, &fy, None, 4000),
+        ));
+        let mut cache = EdgeDpCache::new();
+        rows.push(time_bench(
+            "bench_kernels",
+            "kernels/digit_dp/edge_shares",
+            || {
+                digit_dp::edge_shares_cached(
+                    &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
+                )
+            },
+        ));
+        rows.push(time_bench("bench_kernels", "kernels/argmin/4096", || {
+            dcl_sim::argmin_f64(None, scores.len(), |i| scores[i])
+        }));
     }
 
     // The scale-tier suite (bench_scale, including its delta_scale group) is

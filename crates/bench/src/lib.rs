@@ -22,12 +22,12 @@
 //! # Profiling recipe
 //!
 //! The hot loops live in `dcl_kernels` (`DESIGN.md` §8); to see where a
-//! pipeline spends its time and how the kernel tiers move the needle:
+//! pipeline spends its time:
 //!
 //! ```text
-//! # Per-tier wall clock (shim criterion; same fixtures as BENCH_bench.json):
+//! # Kernel wall clock (shim criterion; same fixtures as BENCH_bench.json):
 //! cargo bench -p dcl_bench --bench bench_kernels
-//! DCL_KERNEL_TIER=reference cargo bench -p dcl_bench --bench bench_congest
+//! cargo bench -p dcl_bench --bench bench_congest
 //!
 //! # Sampling profile of a real workload (needs samply or flamegraph
 //! # installed; debug symbols stay on in the release profile):
@@ -35,15 +35,13 @@
 //! samply record ./target/release/experiments       # or:
 //! flamegraph -- ./target/release/experiments
 //!
-//! # Let the autovectorizer use the recording machine's full ISA — useful
-//! # for judging how much headroom the explicit-SIMD tier still has:
+//! # Let the autovectorizer use the recording machine's full ISA:
 //! RUSTFLAGS=-Ctarget-cpu=native cargo bench -p dcl_bench --bench bench_kernels
 //! ```
 //!
 //! Numbers are only comparable within one machine profile; the committed
-//! `BENCH_*.json` headers record `hardware_threads`/`os`/`arch` plus the
-//! active `kernel_tier` and detected `target_features` for exactly that
-//! reason.
+//! `BENCH_*.json` headers record `hardware_threads`/`os`/`arch` for
+//! exactly that reason.
 
 #![forbid(unsafe_code)]
 

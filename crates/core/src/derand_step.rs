@@ -54,14 +54,12 @@ pub struct PhaseOutcome {
 /// which keeps the float association — and hence every leader decision
 /// downstream — bit-identical to the sequential backend.
 ///
-/// The numeric work lives in `dcl_kernels::digit_dp::edge_shares_cached`
-/// (the arch-dispatched tier of this function); here we only resolve the
-/// seed layout: the candidate-value overrides for position `slice` of each
-/// endpoint's form vector. `cache` is this edge's persistent DP prefix
-/// state — the seed bits `j` arrive in index order, which is exactly the
-/// monotone schedule the incremental tier's cache contract requires (see
-/// `dcl_derand::slice` module docs); under a forced non-incremental tier
-/// the cache is ignored and that tier's stateless evaluator runs.
+/// The numeric work lives in `dcl_kernels::digit_dp::edge_shares_cached`;
+/// here we only resolve the seed layout: the candidate-value overrides for
+/// position `slice` of each endpoint's form vector. `cache` is this edge's
+/// persistent DP prefix state — the seed bits `j` arrive in index order,
+/// which is exactly the monotone schedule the cache contract requires (see
+/// `dcl_derand::slice` module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn edge_shares(
@@ -103,8 +101,8 @@ fn edge_shares(
     )
 }
 
-/// Per-conflict-edge scratch that survives the whole phase: the
-/// incremental tier's DP prefix cache plus the share slot the parallel
+/// Per-conflict-edge scratch that survives the whole phase: the edge's
+/// DP prefix cache plus the share slot the parallel
 /// path writes results into (a flat buffer instead of per-chunk `Vec`
 /// churn — the same fix the aggregation `vectors` buffer got).
 struct EdgeScratch {

@@ -25,9 +25,9 @@
 //! implementable; see `DESIGN.md` §2.1.
 //!
 //! The DP itself ([`BitForm`], [`PairDist`], and the `prob_*` evaluators)
-//! lives in `dcl_kernels` as an arch-dispatched kernel family (reference /
-//! scalar-SoA / SIMD / incremental tiers, proven bit-identical); this
-//! module re-exports the types and keeps the seed-aware API on top.
+//! lives in `dcl_kernels::digit_dp`, proven bit-identical to its reference
+//! oracle; this module re-exports the types and keeps the seed-aware API
+//! on top.
 //!
 //! # The monotone seed-schedule contract
 //!
@@ -36,7 +36,7 @@
 //! index (`slice = index / (m+1)`). Together with the locality of
 //! [`SliceFamily::update_forms_on_fix`] — fixing a bit of slice `s`
 //! mutates only `forms[s]` — this gives the invariant the kernels'
-//! incremental tier relies on: *while the schedule is inside one slice's
+//! prefix-cached evaluator relies on: *while the schedule is inside one slice's
 //! window, every form at any other position is frozen*. A per-edge
 //! [`dcl_kernels::digit_dp::EdgeDpCache`] can therefore memoize the DP
 //! transfer over the untouched positions and replay only the current
@@ -573,9 +573,26 @@ mod tests {
         assert_eq!(fam.slice_of_seed_bit(7), 1); // s_1
     }
 
+    /// The widest supported family (`b = 63`): thresholds up to `2^63`
+    /// inclusive stay exact through the seed-aware API.
+    #[test]
+    fn max_width_probabilities_are_exact() {
+        let fam = SliceFamily::new(2, 63);
+        let seed = PartialSeed::new(fam.seed_len());
+        let full = 1u64 << 63;
+        assert_eq!(fam.prob_lt(&seed, 0b01, full), 1.0);
+        assert_eq!(fam.prob_lt(&seed, 0b01, full / 4), 0.25);
+        assert_eq!(fam.prob_lt(&seed, 0b01, 3), 3.0 / full as f64);
+        // Distinct inputs are pairwise independent: Pr = 1/2 · 1/4.
+        assert_eq!(
+            fam.prob_joint_lt(&seed, 0b01, full / 2, 0b10, full / 4),
+            0.125
+        );
+    }
+
     /// The layout half of the monotone seed-schedule contract (module
     /// docs): fixing seed bits in index order visits slices in
-    /// nondecreasing order, so the incremental tier's prefix cache is
+    /// nondecreasing order, so the kernels' DP prefix cache is
     /// sound for any driver that walks the seed front to back.
     #[test]
     fn schedule_is_slice_monotone() {

@@ -1,16 +1,14 @@
 //! Brute-force histogram oracle for the digit-DP kernels.
 //!
-//! The tier-equivalence suite in `dcl_kernels` proves the four tiers agree
-//! with each other; this suite proves they agree with *the ground truth*:
-//! for every completion of a partial seed the hash output pair `(z_x, z_y)`
-//! is enumerated into an exact joint histogram, and the marginal DP, joint
-//! DP and four-outcome coin DP are checked against it for **every**
-//! threshold pair — once per kernel tier, asserting the tiers are also
-//! bitwise identical to one another along the way. The stateful
-//! incremental evaluator is additionally driven through real monotone
-//! seed schedules (`SliceFamily` fixes in index order) with the warm
-//! cache checked against a fresh enumeration after every candidate
-//! evaluation.
+//! The equivalence suite in `dcl_kernels` proves every production entry
+//! point bit-identical to the reference oracle; this suite proves they
+//! agree with *the ground truth*: for every completion of a partial seed
+//! the hash output pair `(z_x, z_y)` is enumerated into an exact joint
+//! histogram, and the marginal DP, joint DP and four-outcome coin DP are
+//! checked against it for **every** threshold pair. The prefix-cached
+//! evaluator is additionally driven through real monotone seed schedules
+//! (`SliceFamily` fixes in index order) with the warm cache checked
+//! against a fresh enumeration after every candidate evaluation.
 //!
 //! A hand-crafted `m = 2, b = 2` configuration additionally pins coverage
 //! of all five `PairDist` cases (BothKnown / FirstKnown / SecondKnown /
@@ -20,28 +18,7 @@
 use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::{PairDist, SliceFamily};
 use dcl_kernels::digit_dp::{incremental, EdgeDpCache};
-use dcl_kernels::{clear_active_tier, set_active_tier, KernelTier};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Tier forcing mutates one process-global; serialize around it.
-fn lock_tier() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` once per tier and restores per-family dispatch afterwards.
-fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 4] {
-    let _guard = lock_tier();
-    let out = KernelTier::all().map(|tier| {
-        set_active_tier(tier);
-        f()
-    });
-    clear_active_tier();
-    out
-}
 
 /// Exact joint histogram of `(z_x, z_y)` over all completions of `seed` —
 /// built once, then every threshold query is answered from it instead of
@@ -84,7 +61,7 @@ impl Histogram {
 }
 
 /// Checks every DP entry point against the histogram for one threshold
-/// pair, under every tier, and asserts the tiers are bitwise identical.
+/// pair.
 fn check_thresholds(
     fam: &SliceFamily,
     seed: &PartialSeed,
@@ -94,32 +71,10 @@ fn check_thresholds(
     y: u64,
     ty: u64,
 ) -> Result<(), String> {
-    let results = per_tier(|| {
-        (
-            fam.prob_lt(seed, x, tx),
-            fam.prob_lt(seed, y, ty),
-            fam.prob_joint_lt(seed, x, tx, y, ty),
-            fam.joint_coin_probs(seed, x, tx, y, ty),
-        )
-    });
-    let as_bits = |r: &(f64, f64, f64, [f64; 4])| {
-        (
-            r.0.to_bits(),
-            r.1.to_bits(),
-            r.2.to_bits(),
-            r.3.map(f64::to_bits),
-        )
-    };
-    for (tier, r) in KernelTier::all().iter().zip(&results) {
-        if as_bits(r) != as_bits(&results[0]) {
-            return Err(format!(
-                "tier {} diverged from reference at tx={tx} ty={ty}: {r:?} vs {:?}",
-                tier.name(),
-                results[0]
-            ));
-        }
-    }
-    let (px, py, pxy, coins) = results[0];
+    let px = fam.prob_lt(seed, x, tx);
+    let py = fam.prob_lt(seed, y, ty);
+    let pxy = fam.prob_joint_lt(seed, x, tx, y, ty);
+    let coins = fam.joint_coin_probs(seed, x, tx, y, ty);
     let checks = [
         ("marginal x", px, hist.prob(|zx, _| zx < tx)),
         ("marginal y", py, hist.prob(|_, zy| zy < ty)),
@@ -147,9 +102,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every DP entry point equals exhaustive enumeration for arbitrary
-    /// partial seeds, inputs and **all** threshold pairs, under every tier.
+    /// partial seeds, inputs and **all** threshold pairs.
     #[test]
-    fn dp_matches_histogram_oracle_under_every_tier(
+    fn dp_matches_histogram_oracle(
         m in 1u32..=8,
         b in 1u32..=4,
         x_raw in any::<u64>(),
@@ -181,12 +136,12 @@ proptest! {
         }
     }
 
-    /// The incremental evaluator against ground truth through a **real**
+    /// The prefix-cached evaluator against ground truth through a **real**
     /// monotone seed schedule: every seed bit is visited in index order
     /// (exactly the Lemma 2.6 drivers' order), both candidate values are
     /// evaluated through one warm per-edge cache, and each result is
     /// checked against exhaustive enumeration of the correspondingly fixed
-    /// seed and bitwise against the stateless dispatched evaluator.
+    /// seed and bitwise against the stateless evaluator.
     #[test]
     fn incremental_matches_histogram_across_monotone_schedule(
         m in 1u32..=3,
@@ -213,8 +168,7 @@ proptest! {
                 let got = incremental::joint_coin_probs_override(
                     &mut cache, &fx, ox, tx, &fy, oy, ty, slice,
                 );
-                // Bitwise vs the stateless evaluator (any tier — all are
-                // proven bit-identical).
+                // Bitwise vs the stateless evaluator.
                 let want = fam.joint_coin_probs_override(
                     &fx, Some((slice, ox)), tx, &fy, Some((slice, oy)), ty,
                 );

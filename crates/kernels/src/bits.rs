@@ -1,16 +1,8 @@
-//! Family 3: fragmentation and bit-accounting arithmetic.
+//! Fragmentation and bit-accounting arithmetic.
 //!
-//! The single-value entry points ([`bit_len`], [`fragments`]) are exact
-//! integer formulas — `const fn`s shared by every tier, because the wire
-//! cost model calls them from `const` contexts and a per-call dispatch
-//! would cost more than the arithmetic. The *batch* entry point
-//! ([`bit_len_batch`]) is dispatched: the SIMD tier computes four bit
-//! lengths at once via the exact `u64 → f64` exponent trick (split each
-//! value into 32-bit halves — both below `2^52`, where the
-//! magic-constant conversion is exact — and read `⌊log₂⌋` straight out of
-//! the IEEE exponent field).
-
-use crate::tier::{family_tier, KernelFamily, KernelTier};
+//! Both entry points ([`bit_len`], [`fragments`]) are exact integer
+//! formulas, written as `const fn`s because the wire cost model calls them
+//! from `const` contexts.
 
 /// Bit length of a `u64` value (at least 1, so that the value 0 still
 /// occupies a bit on the wire). Moved verbatim from `dcl_sim::wire`,
@@ -40,105 +32,9 @@ pub const fn fragments(cap: u32, bits: u32) -> u32 {
     }
 }
 
-/// Writes `bit_len(vals[i])` into `out[i]` for every `i`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn bit_len_batch(vals: &[u64], out: &mut [u32]) {
-    assert_eq!(vals.len(), out.len(), "batch slices must have equal length");
-    match family_tier(KernelFamily::Bits) {
-        KernelTier::Reference => {
-            for (v, o) in vals.iter().zip(out.iter_mut()) {
-                *o = bit_len(*v);
-            }
-        }
-        KernelTier::Scalar => scalar_batch(vals, out),
-        KernelTier::Simd | KernelTier::Incremental => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if vals.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 support was verified at runtime on the
-                    // line above.
-                    unsafe { avx2::bit_len_batch(vals, out) };
-                    return;
-                }
-            }
-            scalar_batch(vals, out);
-        }
-    }
-}
-
-/// Branch-free scalar batch: the bit length is exact integer arithmetic,
-/// so this tier differs from reference only in the `max(1)` spelling —
-/// kept separate so the tier matrix exercises a distinct code path.
-fn scalar_batch(vals: &[u64], out: &mut [u32]) {
-    for (v, o) in vals.iter().zip(out.iter_mut()) {
-        let len = 64 - v.leading_zeros();
-        *o = if len == 0 { 1 } else { len };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8, _mm256_castpd_si256,
-        _mm256_castsi256_pd, _mm256_castsi256_si128, _mm256_cmpeq_epi64, _mm256_extracti128_si256,
-        _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_setzero_si256,
-        _mm256_srli_epi64, _mm256_sub_epi64, _mm256_sub_pd, _mm_cvtsi128_si64, _mm_unpackhi_epi64,
-    };
-
-    /// Four bit lengths per iteration. For each 64-bit lane: pick the high
-    /// 32-bit half when nonzero (else the low half), convert that half
-    /// exactly to `f64` by OR-ing the `2^52` exponent pattern and
-    /// subtracting `2^52`, then `biased_exponent − 1023 + 1` is the half's
-    /// bit length (`+32` when the high half was used). A zero value falls
-    /// through as a negative length and clamps to 1 on extraction.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn bit_len_batch(vals: &[u64], out: &mut [u32]) {
-        const MAGIC: i64 = 0x4330_0000_0000_0000; // bits of 2^52
-        let magic = _mm256_set1_epi64x(MAGIC);
-        let two52 = _mm256_castsi256_pd(magic);
-        let lo_mask = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let zero = _mm256_setzero_si256();
-        let chunks = vals.len() / 4 * 4;
-        let mut i = 0;
-        while i < chunks {
-            let v = _mm256_set_epi64x(
-                vals[i + 3] as i64,
-                vals[i + 2] as i64,
-                vals[i + 1] as i64,
-                vals[i] as i64,
-            );
-            let hi = _mm256_srli_epi64::<32>(v);
-            let lo = _mm256_and_si256(v, lo_mask);
-            let hi_zero = _mm256_cmpeq_epi64(hi, zero);
-            let half = _mm256_blendv_epi8(hi, lo, hi_zero);
-            // Exact u32 → f64: bits OR 2^52-pattern, minus 2^52.
-            let d = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(half, magic)), two52);
-            // Biased exponent − 1022 = ⌊log₂ half⌋ + 1 (nonpositive for 0).
-            let exp = _mm256_srli_epi64::<52>(_mm256_castpd_si256(d));
-            let len = _mm256_sub_epi64(exp, _mm256_set1_epi64x(1022));
-            let len =
-                _mm256_blendv_epi8(_mm256_add_epi64(len, _mm256_set1_epi64x(32)), len, hi_zero);
-            let lo128 = _mm256_castsi256_si128(len);
-            let hi128 = _mm256_extracti128_si256::<1>(len);
-            out[i] = _mm_cvtsi128_si64(lo128).max(1) as u32;
-            out[i + 1] = _mm_cvtsi128_si64(_mm_unpackhi_epi64(lo128, lo128)).max(1) as u32;
-            out[i + 2] = _mm_cvtsi128_si64(hi128).max(1) as u32;
-            out[i + 3] = _mm_cvtsi128_si64(_mm_unpackhi_epi64(hi128, hi128)).max(1) as u32;
-            i += 4;
-        }
-        for k in chunks..vals.len() {
-            out[k] = super::bit_len(vals[k]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::{clear_active_tier, set_active_tier, KernelTier};
 
     #[test]
     fn bit_len_basics() {
@@ -157,24 +53,5 @@ mod tests {
         assert_eq!(fragments(7, 8), 2);
         assert_eq!(fragments(7, 64), 10);
         assert_eq!(fragments(7, 0), 1);
-    }
-
-    #[test]
-    fn batch_matches_singles_across_tiers() {
-        let vals: Vec<u64> = (0..70u64)
-            .map(|i| {
-                i.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .rotate_left(i as u32 % 64)
-            })
-            .chain([0, 1, u64::MAX, 1 << 31, 1 << 32, (1 << 32) - 1, 1 << 63])
-            .collect();
-        let expected: Vec<u32> = vals.iter().map(|&v| bit_len(v)).collect();
-        for tier in KernelTier::all() {
-            set_active_tier(tier);
-            let mut out = vec![0u32; vals.len()];
-            bit_len_batch(&vals, &mut out);
-            assert_eq!(out, expected, "tier {}", tier.name());
-        }
-        clear_active_tier();
     }
 }

@@ -1,61 +1,61 @@
-//! Family 1: the Lemma 2.6 pair-probability digit DP and its per-edge
-//! aggregation.
+//! The Lemma 2.6 pair-probability digit DP and its per-edge aggregation.
 //!
 //! This is ~90% of Theorem 1.1 runtime: every conflict edge × every seed
 //! bit × both candidate values runs the exact `O(b)` digit DP over the
-//! joint distribution of two hash outputs. The public functions here are
-//! the dispatch layer; the four tiers live in the submodules:
+//! joint distribution of two hash outputs. Each public function here has
+//! one implementation:
 //!
-//! - [`mod@reference`] — `SliceFamily::{prob_lt_override,
-//!   prob_joint_lt_override, joint_coin_probs_override}` and the drivers'
-//!   edge aggregation, moved verbatim from `dcl_derand::slice` /
-//!   `dcl_core::derand_step`.
-//! - [`scalar`] — the forms repacked once per call into an SoA batch
-//!   ([`PackedForms`]: `mask` array + `known`/`offset` bitsets), the
-//!   per-digit case split resolved by integer bit tests, and the DP
-//!   transition replaying the reference's float operations in the
-//!   reference's order — bit-identical by construction, with no allocation
-//!   and no per-position override branch.
-//! - [`simd`] — independent DP instances paired into SSE2 lanes (the two
-//!   candidate values of one seed bit, the two marginals of one edge, the
-//!   CDF corners of one interval). Per-lane IEEE ops equal the scalar ops;
-//!   masked-out contributions add `+0.0`, which preserves accumulator bits
-//!   because every term is finite and non-negative. Off x86_64 the tier
-//!   falls back to [`scalar`].
-//! - [`incremental`] — stateful prefix-cached evaluation for callers that
-//!   fix seed bits in the monotone slice schedule ([`EdgeDpCache`]): the
-//!   DP state over the leading digits `b-1..s+1` is invariant for the
-//!   whole window of slice `s`, so each evaluation replays only the
-//!   overridden digit plus the trailing `s` digits, in the reference
-//!   association order. Bit-identical because the cached prefix is a
-//!   literal memo of the reference computation's first `b-1-s` steps.
+//! - the stateless entry points (`*_override`, `*_packed`) run the SoA
+//!   evaluator in `scalar`: the forms packed into [`PackedForms`]
+//!   (`mask` array + `known`/`offset` bitsets), the per-digit case split
+//!   resolved by integer bit tests, and the DP transition (`DigitPmf`)
+//!   replaying the reference's float operations in the reference's order;
+//! - [`edge_shares_cached`] runs the prefix-cached evaluator in
+//!   [`incremental`]: the DP state over the leading digits `b-1..s+1` is
+//!   invariant for the whole window of slice `s`, so each evaluation
+//!   replays only the overridden digit plus the trailing `s` digits;
+//! - [`joint_interval_packed`] walks the digits once, stepping every CDF
+//!   corner that still needs the DP through the same per-digit pmf.
+//!
+//! [`mod@reference`] keeps the DP and the edge aggregation exactly as they
+//! lived in `dcl_derand::slice` / `dcl_core::derand_step`. No production
+//! code calls it; tests compare every entry point against it with
+//! `to_bits` equality.
 //!
 //! Thresholds may be up to `2^b` *inclusive* (the reference's guard
-//! clauses); `b` is the forms-slice length, at most 63 (`SliceFamily`
-//! enforces this upstream).
+//! clauses); `b` is the forms-slice length, at most 63. Every public entry
+//! point rejects `b ≥ 64` with a panic: `1 << 64` does not fit a `u64`,
+//! and a release build would otherwise mask the shift and return wrong
+//! probabilities.
 
-use crate::forms::{BitForm, PairDist};
-use crate::tier::{family_tier, KernelFamily, KernelTier};
+use crate::forms::BitForm;
 
 pub mod incremental;
 pub mod reference;
-pub mod scalar;
-pub mod simd;
+mod scalar;
 
 pub use incremental::EdgeDpCache;
 
+/// Largest supported digit count: thresholds up to `2^b` must fit a `u64`.
+const MAX_DIGITS: usize = 63;
+
+/// Rejects digit counts whose `2^b` threshold bound does not fit a `u64`.
+/// A real `assert!`, not a debug check: in a release build the shift
+/// `1 << 64` is masked to `1 << 0`, which silently corrupts the guards.
 #[inline]
-fn tier() -> KernelTier {
-    family_tier(KernelFamily::DigitDp)
+pub(crate) fn assert_width(b: usize) {
+    assert!(
+        b <= MAX_DIGITS,
+        "digit DP supports at most {MAX_DIGITS} digits, got {b}"
+    );
 }
 
 /// SoA repack of one input's `b` bit forms: the free-variable masks as an
-/// array, the known/offset/s-free flags as bitsets. The scalar and SIMD
-/// tiers read digits from this layout with integer bit tests instead of
-/// per-position struct loads, and the drivers keep one `PackedForms` per
-/// node updated in place across seed fixes
-/// (`SliceFamily::update_packed_on_fix`), so the per-call pack loop
-/// disappears from the hot path.
+/// array, the known/offset/s-free flags as bitsets. The evaluators read
+/// digits from this layout with integer bit tests instead of per-position
+/// struct loads, and the drivers keep one `PackedForms` per node updated
+/// in place across seed fixes (`SliceFamily::update_packed_on_fix`), so the
+/// per-call pack loop disappears from the hot path.
 #[derive(Debug, Clone)]
 pub struct PackedForms {
     /// Number of digits (= forms.len()).
@@ -72,12 +72,9 @@ pub struct PackedForms {
     pub(crate) s_free: u64,
 }
 
-/// Internal alias: the submodules predate the public name.
-pub(crate) use PackedForms as Soa;
-
 impl PackedForms {
-    pub(crate) fn pack(forms: &[BitForm], over: Option<(usize, BitForm)>) -> PackedForms {
-        debug_assert!(forms.len() < 64, "digit DP supports at most 63 digits");
+    fn pack(forms: &[BitForm], over: Option<(usize, BitForm)>) -> PackedForms {
+        assert_width(forms.len());
         let mut s = PackedForms {
             b: forms.len(),
             masks: [0; 64],
@@ -104,8 +101,11 @@ impl PackedForms {
         s
     }
 
-    /// Packs `forms` (index `i` = output bit `i`). Panics in debug builds
-    /// when `forms.len() ≥ 64`.
+    /// Packs `forms` (index `i` = output bit `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `forms.len() ≥ 64`.
     #[must_use]
     pub fn from_forms(forms: &[BitForm]) -> PackedForms {
         PackedForms::pack(forms, None)
@@ -155,49 +155,146 @@ impl PackedForms {
     }
 }
 
-/// The joint pmf of digit `i` of the two inputs, `[q00, q01, q10, q11]` —
-/// the same five-case split as [`pair_dist_of_forms`], decided from the SoA
-/// bitsets.
+/// One marginal DP step on the state `[p_eq, p_lt]` — the body of the
+/// reference loop, verbatim.
+#[inline]
+pub(crate) fn marg_step(st: &mut [f64; 2], p1: f64, tbit: u64) {
+    if tbit == 1 {
+        st[1] += st[0] * (1.0 - p1);
+        st[0] *= p1;
+    } else {
+        st[0] *= 1.0 - p1;
+    }
+}
+
+/// The nonzero entries `(bx, by, prob)` of one digit's joint pmf, in
+/// ascending pmf-index (`bx<<1|by`) order — exactly the entries the
+/// reference's `idx 0..4, skip prob == 0` loop visits, in the same order.
+/// The five-case split is [`pair_dist_of_forms`]'s, decided from the known
+/// and offset bits and the mask equality of the two forms.
 ///
 /// [`pair_dist_of_forms`]: crate::forms::pair_dist_of_forms
-#[inline]
-pub(crate) fn pmf_at(sx: &Soa, sy: &Soa, i: usize) -> [f64; 4] {
-    let kx = sx.known >> i & 1 == 1;
-    let ky = sy.known >> i & 1 == 1;
-    let ox = sx.offset >> i & 1 == 1;
-    let oy = sy.offset >> i & 1 == 1;
-    let dist = match (kx, ky) {
-        (true, true) => PairDist::BothKnown(ox, oy),
-        (true, false) => PairDist::FirstKnown(ox),
-        (false, true) => PairDist::SecondKnown(oy),
-        (false, false) if sx.masks[i] == sy.masks[i] => PairDist::Correlated(ox ^ oy),
-        (false, false) => PairDist::Independent,
-    };
-    dist.pmf()
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DigitPmf {
+    entries: [(u64, u64, f64); 4],
+    len: usize,
+}
+
+impl DigitPmf {
+    #[inline]
+    fn new(kx: bool, ky: bool, ox: u64, oy: u64, same_mask: bool) -> DigitPmf {
+        let mut entries = [(0u64, 0u64, 0.0f64); 4];
+        let len = match (kx, ky) {
+            (true, true) => {
+                entries[0] = (ox, oy, 1.0);
+                1
+            }
+            (true, false) => {
+                entries[0] = (ox, 0, 0.5);
+                entries[1] = (ox, 1, 0.5);
+                2
+            }
+            (false, true) => {
+                entries[0] = (0, oy, 0.5);
+                entries[1] = (1, oy, 0.5);
+                2
+            }
+            // Same slice ⇒ the forms coincide as linear maps iff the
+            // r-masks do (`pair_dist_of_forms`'s Correlated case).
+            (false, false) if same_mask => {
+                let d = ox ^ oy;
+                entries[0] = (0, d, 0.5);
+                entries[1] = (1, 1 ^ d, 0.5);
+                2
+            }
+            (false, false) => {
+                entries[0] = (0, 0, 0.25);
+                entries[1] = (0, 1, 0.25);
+                entries[2] = (1, 0, 0.25);
+                entries[3] = (1, 1, 0.25);
+                4
+            }
+        };
+        DigitPmf { entries, len }
+    }
+
+    /// The pmf of digit `i` of two packed inputs.
+    #[inline]
+    pub(crate) fn of_packed(sx: &PackedForms, sy: &PackedForms, i: usize) -> DigitPmf {
+        DigitPmf::new(
+            sx.known >> i & 1 == 1,
+            sy.known >> i & 1 == 1,
+            sx.offset >> i & 1,
+            sy.offset >> i & 1,
+            sx.masks[i] == sy.masks[i],
+        )
+    }
+
+    /// The pmf of one pair of bit forms.
+    #[inline]
+    pub(crate) fn of_forms(fx: BitForm, fy: BitForm) -> DigitPmf {
+        DigitPmf::new(
+            fx.is_known(),
+            fy.is_known(),
+            u64::from(fx.offset),
+            u64::from(fy.offset),
+            fx.mask == fy.mask,
+        )
+    }
+
+    /// One joint DP step on the state `[ee, el, le, ll]` (per coordinate:
+    /// prefix still equal to the threshold prefix, or already strictly
+    /// less), for threshold digits `tbx`, `tby`. The body is the
+    /// reference's inner loop verbatim, so every accumulator sees the same
+    /// float operations in the same order.
+    #[inline]
+    pub(crate) fn step(&self, st: &mut [f64; 4], tbx: u64, tby: u64) {
+        use std::cmp::Ordering::*;
+        let [ee, el, le, ll] = *st;
+        let (mut nee, mut nel, mut nle, mut nll) = (0.0, 0.0, 0.0, 0.0);
+        for &(bx, by, prob) in &self.entries[..self.len] {
+            let cx = bx.cmp(&tbx);
+            let cy = by.cmp(&tby);
+            match (cx, cy) {
+                (Greater, _) | (_, Greater) => {}
+                (Equal, Equal) => nee += ee * prob,
+                (Equal, Less) => nel += ee * prob,
+                (Less, Equal) => nle += ee * prob,
+                (Less, Less) => nll += ee * prob,
+            }
+            match cx {
+                Greater => {}
+                Equal => nel += el * prob,
+                Less => nll += el * prob,
+            }
+            match cy {
+                Greater => {}
+                Equal => nle += le * prob,
+                Less => nll += le * prob,
+            }
+            nll += ll * prob;
+        }
+        *st = [nee, nel, nle, nll];
+    }
 }
 
 /// `Pr[z < t]` over the free bits of `forms`, with position `i` replaced by
 /// `f` when `over = Some((i, f))`. `t` may be `2^b` (inclusive) → 1.
+///
+/// # Panics
+///
+/// Panics when `forms.len() ≥ 64`.
 #[must_use]
 pub fn prob_lt_override(forms: &[BitForm], over: Option<(usize, BitForm)>, t: u64) -> f64 {
-    match tier() {
-        KernelTier::Reference => reference::prob_lt_override(forms, over, t),
-        // A single marginal DP has nothing to pair into lanes and no state
-        // to reuse; the SIMD and incremental tiers share the SoA path.
-        KernelTier::Scalar | KernelTier::Simd | KernelTier::Incremental => {
-            scalar::prob_lt(&Soa::pack(forms, over), t)
-        }
-    }
-}
-
-/// `Pr[z < t]` without an override.
-#[must_use]
-pub fn prob_lt(forms: &[BitForm], t: u64) -> f64 {
-    prob_lt_override(forms, None, t)
+    scalar::prob_lt(&PackedForms::pack(forms, over), t)
 }
 
 /// `Pr[z_x < t_x ∧ z_y < t_y]` over the shared free seed bits, with
 /// per-input single-position overrides.
+///
+/// # Panics
+///
+/// Panics when the inputs have 64 or more digits.
 #[must_use]
 pub fn prob_joint_lt_override(
     forms_x: &[BitForm],
@@ -207,29 +304,20 @@ pub fn prob_joint_lt_override(
     over_y: Option<(usize, BitForm)>,
     t_y: u64,
 ) -> f64 {
-    match tier() {
-        KernelTier::Reference => {
-            reference::prob_joint_lt_override(forms_x, over_x, t_x, forms_y, over_y, t_y)
-        }
-        // One joint DP is one instance; pairing happens at the aggregation
-        // entry points (edge_shares, joint_interval).
-        KernelTier::Scalar | KernelTier::Simd | KernelTier::Incremental => scalar::prob_joint_lt(
-            &Soa::pack(forms_x, over_x),
-            t_x,
-            &Soa::pack(forms_y, over_y),
-            t_y,
-        ),
-    }
-}
-
-/// `Pr[z_x < t_x ∧ z_y < t_y]` without overrides.
-#[must_use]
-pub fn prob_joint_lt(forms_x: &[BitForm], t_x: u64, forms_y: &[BitForm], t_y: u64) -> f64 {
-    prob_joint_lt_override(forms_x, None, t_x, forms_y, None, t_y)
+    scalar::prob_joint_lt(
+        &PackedForms::pack(forms_x, over_x),
+        t_x,
+        &PackedForms::pack(forms_y, over_y),
+        t_y,
+    )
 }
 
 /// Joint threshold-coin probabilities `[p00, p01, p10, p11]` with per-input
 /// single-position overrides.
+///
+/// # Panics
+///
+/// Panics when the inputs have 64 or more digits.
 #[must_use]
 pub fn joint_coin_probs_override(
     forms_x: &[BitForm],
@@ -239,99 +327,42 @@ pub fn joint_coin_probs_override(
     over_y: Option<(usize, BitForm)>,
     t_y: u64,
 ) -> [f64; 4] {
-    match tier() {
-        KernelTier::Reference => {
-            reference::joint_coin_probs_override(forms_x, over_x, t_x, forms_y, over_y, t_y)
-        }
-        // Stateless call: the incremental tier has no cache here; the
-        // scalar path is the measured-fastest stateless evaluation.
-        KernelTier::Scalar | KernelTier::Incremental => scalar::joint_coin_probs(
-            &Soa::pack(forms_x, over_x),
-            t_x,
-            &Soa::pack(forms_y, over_y),
-            t_y,
-        ),
-        KernelTier::Simd => simd::joint_coin_probs(
-            &Soa::pack(forms_x, over_x),
-            t_x,
-            &Soa::pack(forms_y, over_y),
-            t_y,
-        ),
-    }
+    scalar::joint_coin_probs(
+        &PackedForms::pack(forms_x, over_x),
+        t_x,
+        &PackedForms::pack(forms_y, over_y),
+        t_y,
+    )
 }
 
-/// Joint threshold-coin probabilities without overrides.
-#[must_use]
-pub fn joint_coin_probs(forms_x: &[BitForm], t_x: u64, forms_y: &[BitForm], t_y: u64) -> [f64; 4] {
-    joint_coin_probs_override(forms_x, None, t_x, forms_y, None, t_y)
-}
-
-/// [`joint_coin_probs`] on pre-packed inputs — the drivers' scratch forms
-/// live in the SoA layout, so no per-call pack happens. Under the
-/// `reference` tier this dispatches to the scalar transition, which is
-/// proven bit-identical to the reference AoS loop, so `Report` equality
-/// across tiers is preserved.
+/// [`joint_coin_probs_override`] without overrides, on pre-packed inputs —
+/// the drivers' scratch forms live in the SoA layout, so no per-call pack
+/// happens.
 #[must_use]
 pub fn joint_coin_probs_packed(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y: u64) -> [f64; 4] {
-    match tier() {
-        KernelTier::Reference | KernelTier::Scalar | KernelTier::Incremental => {
-            scalar::joint_coin_probs(sx, t_x, sy, t_y)
-        }
-        KernelTier::Simd => simd::joint_coin_probs(sx, t_x, sy, t_y),
-    }
+    scalar::joint_coin_probs(sx, t_x, sy, t_y)
 }
 
 /// Conditional expectations of one conflict edge for one seed bit:
-/// `[x⁰ share of u, x⁰ share of v, x¹ share of u, x¹ share of v]`.
+/// `[x⁰ share of u, x⁰ share of v, x¹ share of u, x¹ share of v]`, with a
+/// per-edge DP prefix cache.
 ///
 /// `over_u[c]` / `over_v[c]` are the endpoint forms at position `slice`
 /// with the seed bit under evaluation fixed to candidate value `c` (the
 /// caller computes them via `SliceFamily::form_with_fix`, keeping the
 /// kernel independent of the seed layout). This is the innermost function
-/// of the whole system — the dominant work of every scenario.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn edge_shares(
-    forms_u: &[BitForm],
-    over_u: [BitForm; 2],
-    t_u: u64,
-    k0_inv_u: f64,
-    k1_inv_u: f64,
-    forms_v: &[BitForm],
-    over_v: [BitForm; 2],
-    t_v: u64,
-    k0_inv_v: f64,
-    k1_inv_v: f64,
-    slice: usize,
-) -> [f64; 4] {
-    match tier() {
-        KernelTier::Reference => reference::edge_shares(
-            forms_u, over_u, t_u, k0_inv_u, k1_inv_u, forms_v, over_v, t_v, k0_inv_v, k1_inv_v,
-            slice,
-        ),
-        KernelTier::Scalar => scalar::edge_shares(
-            forms_u, over_u, t_u, k0_inv_u, k1_inv_u, forms_v, over_v, t_v, k0_inv_v, k1_inv_v,
-            slice,
-        ),
-        // Stateless call: without a cache the incremental tier uses the
-        // candidate-lane SIMD path (measured fastest stateless tier).
-        KernelTier::Simd | KernelTier::Incremental => simd::edge_shares(
-            forms_u, over_u, t_u, k0_inv_u, k1_inv_u, forms_v, over_v, t_v, k0_inv_v, k1_inv_v,
-            slice,
-        ),
-    }
-}
-
-/// [`edge_shares`] with a per-edge DP prefix cache. The Lemma 2.6 drivers
-/// own one [`EdgeDpCache`] per conflict edge for the duration of a phase
-/// and pass it here per seed bit; under the `incremental` tier the cache
-/// skips the invariant leading digits (see [`incremental`]), under every
-/// other tier the cache is ignored and the stateless [`edge_shares`] of
-/// that tier runs — so forcing a tier still exercises that tier's code.
+/// of the whole system — the dominant work of every scenario. The Lemma
+/// 2.6 drivers own one [`EdgeDpCache`] per conflict edge for the duration
+/// of a phase and pass it here per seed bit; the cache skips the invariant
+/// leading digits (see [`incremental`]).
 ///
 /// Contract (checked in debug builds): the caller fixes seed bits in
 /// monotone slice order and reuses one cache per (edge, thresholds) pair;
 /// forms at positions `> slice` must not change while `slice` is current.
+///
+/// # Panics
+///
+/// Panics when the inputs have 64 or more digits.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn edge_shares_cached(
@@ -348,46 +379,36 @@ pub fn edge_shares_cached(
     k1_inv_v: f64,
     slice: usize,
 ) -> [f64; 4] {
-    match tier() {
-        KernelTier::Incremental => incremental::edge_shares(
-            cache, forms_u, over_u, t_u, k0_inv_u, k1_inv_u, forms_v, over_v, t_v, k0_inv_v,
-            k1_inv_v, slice,
-        ),
-        _ => edge_shares(
-            forms_u, over_u, t_u, k0_inv_u, k1_inv_u, forms_v, over_v, t_v, k0_inv_v, k1_inv_v,
+    let mut out = [0.0f64; 4];
+    for cand in [false, true] {
+        // Both candidate values resume the same cached prefix states.
+        let p = incremental::joint_coin_probs_override(
+            cache,
+            forms_u,
+            over_u[usize::from(cand)],
+            t_u,
+            forms_v,
+            over_v[usize::from(cand)],
+            t_v,
             slice,
-        ),
+        );
+        // The combine replays `reference::edge_shares` verbatim.
+        let share_u = p[3] * k1_inv_u + p[0] * k0_inv_u;
+        let share_v = p[3] * k1_inv_v + p[0] * k0_inv_v;
+        let base = if cand { 2 } else { 0 };
+        out[base] = share_u;
+        out[base + 1] = share_v;
     }
+    out
 }
 
 /// `Pr[z_u ∈ [ul, uh) ∧ z_v ∈ [vl, vh)]` by inclusion–exclusion over the
 /// joint CDF, in the fixed combine order
 /// `(J(uh,vh) − J(ul,vh) − J(uh,vl) + J(ul,vl)).max(0)` — the order both
 /// the CONGESTED CLIQUE driver and the MPC finisher used before the
-/// extraction, so the kernel serves both call sites bit-identically.
-#[must_use]
-pub fn joint_interval(
-    forms_u: &[BitForm],
-    ul: u64,
-    uh: u64,
-    forms_v: &[BitForm],
-    vl: u64,
-    vh: u64,
-) -> f64 {
-    match tier() {
-        KernelTier::Reference => reference::joint_interval(forms_u, ul, uh, forms_v, vl, vh),
-        KernelTier::Scalar => scalar::joint_interval(forms_u, ul, uh, forms_v, vl, vh),
-        KernelTier::Simd | KernelTier::Incremental => {
-            simd::joint_interval(forms_u, ul, uh, forms_v, vl, vh)
-        }
-    }
-}
-
-/// [`joint_interval`] on pre-packed inputs. The clique/MPC drivers keep
-/// their per-candidate scratch forms packed and call this once per digit
-/// interval, eliminating the two `PackedForms::pack` loops per call that
-/// used to dominate the segmented-derandomization profile. Bit-identity
-/// across tiers holds as for [`joint_coin_probs_packed`].
+/// extraction, so the kernel serves both call sites bit-identically. The
+/// clique/MPC drivers keep their per-candidate scratch forms packed and
+/// call this once per digit interval.
 #[must_use]
 pub fn joint_interval_packed(
     su: &PackedForms,
@@ -397,21 +418,13 @@ pub fn joint_interval_packed(
     vl: u64,
     vh: u64,
 ) -> f64 {
-    match tier() {
-        KernelTier::Reference | KernelTier::Scalar => {
-            scalar::joint_interval_packed(su, ul, uh, sv, vl, vh)
-        }
-        KernelTier::Simd | KernelTier::Incremental => {
-            simd::joint_interval_packed(su, ul, uh, sv, vl, vh)
-        }
-    }
+    scalar::joint_interval(su, ul, uh, sv, vl, vh)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forms::pair_dist_of_forms;
-    use crate::tier::{clear_active_tier, set_active_tier};
 
     fn form(offset: bool, mask: u64, s_free: bool) -> BitForm {
         BitForm {
@@ -438,57 +451,50 @@ mod tests {
     }
 
     #[test]
-    fn all_tiers_agree_on_sample() {
+    fn entry_points_match_reference_on_sample() {
         let (fx, fy) = sample_forms();
-        let anchor = reference::prob_joint_lt_override(&fx, None, 11, &fy, None, 6);
-        for t in KernelTier::all() {
-            set_active_tier(t);
-            assert_eq!(
-                prob_joint_lt(&fx, 11, &fy, 6).to_bits(),
-                anchor.to_bits(),
-                "tier {}",
-                t.name()
-            );
-            assert_eq!(
-                joint_coin_probs(&fx, 11, &fy, 6).map(f64::to_bits),
-                reference::joint_coin_probs_override(&fx, None, 11, &fy, None, 6).map(f64::to_bits),
-                "tier {}",
-                t.name()
-            );
-        }
-        clear_active_tier();
+        assert_eq!(
+            prob_joint_lt_override(&fx, None, 11, &fy, None, 6).to_bits(),
+            reference::prob_joint_lt_override(&fx, None, 11, &fy, None, 6).to_bits(),
+        );
+        assert_eq!(
+            joint_coin_probs_override(&fx, None, 11, &fy, None, 6).map(f64::to_bits),
+            reference::joint_coin_probs_override(&fx, None, 11, &fy, None, 6).map(f64::to_bits),
+        );
     }
 
     #[test]
     fn guards_handle_inclusive_thresholds() {
         let (fx, fy) = sample_forms();
-        for t in KernelTier::all() {
-            set_active_tier(t);
-            assert_eq!(prob_joint_lt(&fx, 16, &fy, 16), 1.0);
-            assert_eq!(prob_lt(&fx, 16), 1.0);
-            assert_eq!(
-                prob_joint_lt(&fx, 16, &fy, 5).to_bits(),
-                prob_lt(&fy, 5).to_bits()
-            );
-            assert_eq!(
-                prob_joint_lt(&fx, 7, &fy, 16).to_bits(),
-                prob_lt(&fx, 7).to_bits()
-            );
-        }
-        clear_active_tier();
+        let joint = |tx, ty| prob_joint_lt_override(&fx, None, tx, &fy, None, ty);
+        let marg = |f: &[BitForm], t| prob_lt_override(f, None, t);
+        assert_eq!(joint(16, 16), 1.0);
+        assert_eq!(marg(&fx, 16), 1.0);
+        assert_eq!(joint(16, 5).to_bits(), marg(&fy, 5).to_bits());
+        assert_eq!(joint(7, 16).to_bits(), marg(&fx, 7).to_bits());
     }
 
     #[test]
-    fn pmf_at_matches_pair_dist_of_forms() {
+    fn digit_pmf_matches_pair_dist_of_forms() {
         let (fx, fy) = sample_forms();
-        let sx = Soa::pack(&fx, None);
-        let sy = Soa::pack(&fy, None);
+        let sx = PackedForms::from_forms(&fx);
+        let sy = PackedForms::from_forms(&fy);
         for i in 0..fx.len() {
-            assert_eq!(
-                pmf_at(&sx, &sy, i),
-                pair_dist_of_forms(fx[i], fy[i]).pmf(),
-                "digit {i}"
-            );
+            let q = pair_dist_of_forms(fx[i], fy[i]).pmf();
+            let want: Vec<(u64, u64, u64)> = (0..4)
+                .filter(|&idx| q[idx] != 0.0)
+                .map(|idx| ((idx >> 1) as u64, (idx & 1) as u64, q[idx].to_bits()))
+                .collect();
+            for pmf in [
+                DigitPmf::of_packed(&sx, &sy, i),
+                DigitPmf::of_forms(fx[i], fy[i]),
+            ] {
+                let got: Vec<(u64, u64, u64)> = pmf.entries[..pmf.len]
+                    .iter()
+                    .map(|&(bx, by, p)| (bx, by, p.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "digit {i}");
+            }
         }
     }
 
@@ -513,29 +519,73 @@ mod tests {
     }
 
     #[test]
-    fn packed_entry_points_match_aos() {
+    fn packed_entry_points_match_reference() {
         let (fx, fy) = sample_forms();
         let sx = PackedForms::from_forms(&fx);
         let sy = PackedForms::from_forms(&fy);
-        for t in KernelTier::all() {
-            set_active_tier(t);
-            for (tx, ty) in [(11u64, 6u64), (16, 6), (3, 16), (16, 16), (0, 9)] {
-                assert_eq!(
-                    joint_coin_probs_packed(&sx, tx, &sy, ty).map(f64::to_bits),
-                    joint_coin_probs(&fx, tx, &fy, ty).map(f64::to_bits),
-                    "tier {} t=({tx},{ty})",
-                    t.name()
-                );
-            }
-            for (ul, uh, vl, vh) in [(2u64, 9u64, 1u64, 7u64), (0, 16, 3, 12), (5, 5, 0, 16)] {
-                assert_eq!(
-                    joint_interval_packed(&sx, ul, uh, &sy, vl, vh).to_bits(),
-                    joint_interval(&fx, ul, uh, &fy, vl, vh).to_bits(),
-                    "tier {} interval ({ul},{uh})x({vl},{vh})",
-                    t.name()
-                );
-            }
+        for (tx, ty) in [(11u64, 6u64), (16, 6), (3, 16), (16, 16), (0, 9)] {
+            assert_eq!(
+                joint_coin_probs_packed(&sx, tx, &sy, ty).map(f64::to_bits),
+                reference::joint_coin_probs_override(&fx, None, tx, &fy, None, ty)
+                    .map(f64::to_bits),
+                "t=({tx},{ty})"
+            );
         }
-        clear_active_tier();
+        for (ul, uh, vl, vh) in [(2u64, 9u64, 1u64, 7u64), (0, 16, 3, 12), (5, 5, 0, 16)] {
+            assert_eq!(
+                joint_interval_packed(&sx, ul, uh, &sy, vl, vh).to_bits(),
+                reference::joint_interval(&fx, ul, uh, &fy, vl, vh).to_bits(),
+                "interval ({ul},{uh})x({vl},{vh})"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_digit_forms_match_reference() {
+        // Inactive clique/MPC nodes carry an empty pack (b = 0, 2^b = 1).
+        let empty = PackedForms::from_forms(&[]);
+        assert_eq!(empty.digits(), 0);
+        for (tx, ty) in [(0u64, 0u64), (0, 1), (1, 0), (1, 1)] {
+            assert_eq!(
+                joint_coin_probs_packed(&empty, tx, &empty, ty).map(f64::to_bits),
+                reference::joint_coin_probs_override(&[], None, tx, &[], None, ty)
+                    .map(f64::to_bits),
+                "t=({tx},{ty})"
+            );
+        }
+        assert_eq!(
+            joint_interval_packed(&empty, 0, 1, &empty, 0, 1).to_bits(),
+            reference::joint_interval(&[], 0, 1, &[], 0, 1).to_bits()
+        );
+    }
+
+    #[test]
+    fn width_63_is_exact_at_both_ends() {
+        let free: Vec<BitForm> = (0..63).map(|i| form(false, 1 << i, true)).collect();
+        let full = 1u64 << 63;
+        assert_eq!(prob_lt_override(&free, None, full), 1.0);
+        assert_eq!(prob_lt_override(&free, None, full / 2), 0.5);
+        assert_eq!(prob_lt_override(&free, None, 5), 5.0 / full as f64);
+        assert_eq!(
+            prob_joint_lt_override(&free, None, 5, &free, None, full).to_bits(),
+            reference::prob_lt_override(&free, None, 5).to_bits()
+        );
+    }
+
+    #[test]
+    fn zero_corners_are_positive_zero() {
+        // Every corner of an interval with a zero upper bound is a zero
+        // corner; the result must be +0.0 bit for bit, as the DP gives.
+        let (fx, fy) = sample_forms();
+        let sx = PackedForms::from_forms(&fx);
+        let sy = PackedForms::from_forms(&fy);
+        for (uh, vh) in [(0u64, 0u64), (0, 16), (16, 0), (0, 9)] {
+            let got = joint_interval_packed(&sx, 0, uh, &sy, 0, vh);
+            assert_eq!(got.to_bits(), 0.0f64.to_bits(), "({uh},{vh})");
+            assert_eq!(
+                got.to_bits(),
+                reference::joint_interval(&fx, 0, uh, &fy, 0, vh).to_bits()
+            );
+        }
     }
 }

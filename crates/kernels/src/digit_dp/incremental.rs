@@ -1,5 +1,5 @@
-//! Incremental tier: per-edge DP prefix states cached across the seed
-//! schedule.
+//! The prefix-cached evaluator behind `edge_shares_cached`: per-edge DP
+//! prefix states cached across the seed schedule.
 //!
 //! # Why a prefix is cacheable
 //!
@@ -20,17 +20,16 @@
 //! # Why it is bit-identical
 //!
 //! No float operation is reordered, fused, or skipped relative to the
-//! reference tier: the prefix state is produced by the reference
+//! reference: the prefix state is produced by the reference
 //! transition applied to the same digits in the same order, and the
 //! replay continues that exact sequence. Caching only changes *when* the
 //! leading steps run, not *what* they compute — so every probability, and
 //! hence every leader decision and every `Report`, is bit-equal to the
-//! reference (enforced by `digit_dp_oracle.rs`, `tier_equivalence.rs`,
-//! and the whole-pipeline `kernel_tier_oracle`).
+//! reference (enforced by `digit_dp_oracle.rs` and `tier_equivalence.rs`).
 //!
-//! The per-digit transition replicates the [`scalar`](super::scalar)
-//! tier's entry emission (nonzero pmf entries in ascending pmf-index
-//! order — the reference's visit order) reading [`BitForm`]s directly.
+//! The per-digit transitions are the ones the stateless evaluator uses
+//! (`DigitPmf` for the joint DP, `marg_step` for the marginals), fed
+//! from [`BitForm`]s directly.
 //!
 //! # Cost
 //!
@@ -38,15 +37,17 @@
 //! replay is `3` DPs × `(s+1)` digits plus an `O(b−s)` rebuild once per
 //! (edge, slice). Averaged over the schedule (slice `s` hosts `m+1` seed
 //! bits), the digit work roughly halves, and the per-call
-//! `PackedForms::pack` of the SoA tiers disappears entirely.
+//! `PackedForms` pack of the stateless evaluator disappears entirely.
 
+use super::{assert_width, marg_step, DigitPmf};
 use crate::forms::BitForm;
 
 /// Cached DP prefix states of one conflict edge: the joint and the two
 /// marginal DP states after the digits above `slice` (all frozen while the
 /// schedule is inside `slice`'s window). Create one per conflict edge per
-/// phase; `edge_shares`/`joint_coin_probs_override` revalidate lazily on
-/// the first call of each slice (or whenever the thresholds change).
+/// phase; `edge_shares_cached` and [`joint_coin_probs_override`]
+/// revalidate lazily on the first call of each slice (or whenever the
+/// thresholds change).
 #[derive(Debug, Clone)]
 pub struct EdgeDpCache {
     /// Slice the prefix states were built for; `usize::MAX` = none.
@@ -82,14 +83,6 @@ impl EdgeDpCache {
             #[cfg(debug_assertions)]
             suffix_fp: 0,
         }
-    }
-
-    /// Drops the cached states; the next evaluation rebuilds them. Not
-    /// needed under the documented schedule (slice and threshold changes
-    /// revalidate automatically) — an escape hatch for callers that mutate
-    /// suffix forms out of order.
-    pub fn invalidate(&mut self) {
-        self.slice = usize::MAX;
     }
 
     fn ensure(
@@ -130,32 +123,6 @@ impl Default for EdgeDpCache {
     }
 }
 
-/// Prefix cache for the marginal DP alone ([`prob_lt_override`]).
-#[derive(Debug, Clone)]
-pub struct MarginalDpCache {
-    slice: usize,
-    t: u64,
-    state: [f64; 2],
-}
-
-impl MarginalDpCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        MarginalDpCache {
-            slice: usize::MAX,
-            t: 0,
-            state: [0.0; 2],
-        }
-    }
-}
-
-impl Default for MarginalDpCache {
-    fn default() -> Self {
-        MarginalDpCache::new()
-    }
-}
-
 #[cfg(debug_assertions)]
 fn suffix_fingerprint(forms_u: &[BitForm], forms_v: &[BitForm], slice: usize) -> u64 {
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
@@ -172,17 +139,6 @@ fn suffix_fingerprint(forms_u: &[BitForm], forms_v: &[BitForm], slice: usize) ->
     fp
 }
 
-/// One marginal DP step — the body of the reference loop, verbatim.
-#[inline]
-fn marg_step(st: &mut [f64; 2], p1: f64, tbit: u64) {
-    if tbit == 1 {
-        st[1] += st[0] * (1.0 - p1);
-        st[0] *= p1;
-    } else {
-        st[0] *= 1.0 - p1;
-    }
-}
-
 /// Marginal DP state after the digits above `slice` (`b-1 ..= slice+1`).
 fn marg_prefix(forms: &[BitForm], t: u64, slice: usize, b: usize) -> [f64; 2] {
     let mut st = [1.0f64, 0.0f64];
@@ -194,81 +150,13 @@ fn marg_prefix(forms: &[BitForm], t: u64, slice: usize, b: usize) -> [f64; 2] {
 
 /// Resumes a marginal prefix: digit `slice` with the override form, then
 /// the trailing digits. Precondition: `t < 2^b` (guards resolved by
-/// callers, as in every tier).
+/// callers).
 fn marg_finish(mut st: [f64; 2], forms: &[BitForm], over: BitForm, t: u64, slice: usize) -> f64 {
     marg_step(&mut st, over.prob_one(), t >> slice & 1);
     for i in (0..slice).rev() {
         marg_step(&mut st, forms[i].prob_one(), t >> i & 1);
     }
     st[1]
-}
-
-/// One joint DP step: the scalar tier's entry emission (nonzero pmf
-/// entries in ascending pmf-index order) and the reference transition,
-/// reading the pair of [`BitForm`]s directly.
-#[inline]
-fn joint_step(st: &mut [f64; 4], fx: BitForm, fy: BitForm, tbx: u64, tby: u64) {
-    let ox = u64::from(fx.offset);
-    let oy = u64::from(fy.offset);
-    let mut entries = [(0u64, 0u64, 0.0f64); 4];
-    let count = match (fx.is_known(), fy.is_known()) {
-        (true, true) => {
-            entries[0] = (ox, oy, 1.0);
-            1
-        }
-        (true, false) => {
-            entries[0] = (ox, 0, 0.5);
-            entries[1] = (ox, 1, 0.5);
-            2
-        }
-        (false, true) => {
-            entries[0] = (0, oy, 0.5);
-            entries[1] = (1, oy, 0.5);
-            2
-        }
-        (false, false) => {
-            // Same slice ⇒ the forms coincide as linear maps iff the
-            // r-masks do (`pair_dist_of_forms`'s Correlated case).
-            if fx.mask == fy.mask {
-                let d = ox ^ oy;
-                entries[0] = (0, d, 0.5);
-                entries[1] = (1, 1 ^ d, 0.5);
-                2
-            } else {
-                entries[0] = (0, 0, 0.25);
-                entries[1] = (0, 1, 0.25);
-                entries[2] = (1, 0, 0.25);
-                entries[3] = (1, 1, 0.25);
-                4
-            }
-        }
-    };
-    let [ee, el, le, ll] = *st;
-    let (mut nee, mut nel, mut nle, mut nll) = (0.0, 0.0, 0.0, 0.0);
-    for &(bx, by, prob) in &entries[..count] {
-        let cx = bx.cmp(&tbx);
-        let cy = by.cmp(&tby);
-        use std::cmp::Ordering::*;
-        match (cx, cy) {
-            (Greater, _) | (_, Greater) => {}
-            (Equal, Equal) => nee += ee * prob,
-            (Equal, Less) => nel += ee * prob,
-            (Less, Equal) => nle += ee * prob,
-            (Less, Less) => nll += ee * prob,
-        }
-        match cx {
-            Greater => {}
-            Equal => nel += el * prob,
-            Less => nll += el * prob,
-        }
-        match cy {
-            Greater => {}
-            Equal => nle += le * prob,
-            Less => nll += le * prob,
-        }
-        nll += ll * prob;
-    }
-    *st = [nee, nel, nle, nll];
 }
 
 /// Joint DP state after the digits above `slice`.
@@ -282,7 +170,7 @@ fn joint_prefix(
 ) -> [f64; 4] {
     let mut st = [1.0f64, 0.0, 0.0, 0.0];
     for i in (slice + 1..b).rev() {
-        joint_step(&mut st, forms_u[i], forms_v[i], t_u >> i & 1, t_v >> i & 1);
+        DigitPmf::of_forms(forms_u[i], forms_v[i]).step(&mut st, t_u >> i & 1, t_v >> i & 1);
     }
     st
 }
@@ -301,38 +189,20 @@ fn joint_finish(
     t_v: u64,
     slice: usize,
 ) -> f64 {
-    joint_step(&mut st, over_u, over_v, t_u >> slice & 1, t_v >> slice & 1);
+    DigitPmf::of_forms(over_u, over_v).step(&mut st, t_u >> slice & 1, t_v >> slice & 1);
     for i in (0..slice).rev() {
-        joint_step(&mut st, forms_u[i], forms_v[i], t_u >> i & 1, t_v >> i & 1);
+        DigitPmf::of_forms(forms_u[i], forms_v[i]).step(&mut st, t_u >> i & 1, t_v >> i & 1);
     }
     st[3]
-}
-
-/// Cached `Pr[z < t]` with position `slice` overridden by `over`. The
-/// cache revalidates on slice or threshold change.
-#[must_use]
-pub fn prob_lt_override(
-    cache: &mut MarginalDpCache,
-    forms: &[BitForm],
-    over: BitForm,
-    t: u64,
-    slice: usize,
-) -> f64 {
-    let b = forms.len();
-    if t >= 1 << b {
-        return 1.0;
-    }
-    if cache.slice != slice || cache.t != t {
-        cache.state = marg_prefix(forms, t, slice, b);
-        cache.slice = slice;
-        cache.t = t;
-    }
-    marg_finish(cache.state, forms, over, t, slice)
 }
 
 /// Cached joint coin probabilities `[p00, p01, p10, p11]` with both
 /// inputs overridden at position `slice`. Guard clauses and the combine
 /// replay the reference order exactly.
+///
+/// # Panics
+///
+/// Panics when the inputs have 64 or more digits.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn joint_coin_probs_override(
@@ -346,6 +216,7 @@ pub fn joint_coin_probs_override(
     slice: usize,
 ) -> [f64; 4] {
     let b = forms_u.len();
+    assert_width(b);
     debug_assert_eq!(b, forms_v.len(), "inputs must share the output width");
     debug_assert!(slice < b, "slice out of range");
     let full = 1u64 << b;
@@ -382,46 +253,6 @@ pub fn joint_coin_probs_override(
     let p01 = (py - p11).max(0.0);
     let p00 = (1.0 - px - py + p11).max(0.0);
     [p00, p01, p10, p11]
-}
-
-/// Cached edge aggregation: both candidate values of one seed bit resume
-/// the same prefix states. The combine replays
-/// [`reference::edge_shares`](super::reference::edge_shares) verbatim.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn edge_shares(
-    cache: &mut EdgeDpCache,
-    forms_u: &[BitForm],
-    over_u: [BitForm; 2],
-    t_u: u64,
-    k0_inv_u: f64,
-    k1_inv_u: f64,
-    forms_v: &[BitForm],
-    over_v: [BitForm; 2],
-    t_v: u64,
-    k0_inv_v: f64,
-    k1_inv_v: f64,
-    slice: usize,
-) -> [f64; 4] {
-    let mut out = [0.0f64; 4];
-    for cand in [false, true] {
-        let p = joint_coin_probs_override(
-            cache,
-            forms_u,
-            over_u[usize::from(cand)],
-            t_u,
-            forms_v,
-            over_v[usize::from(cand)],
-            t_v,
-            slice,
-        );
-        let share_u = p[3] * k1_inv_u + p[0] * k0_inv_u;
-        let share_v = p[3] * k1_inv_v + p[0] * k0_inv_v;
-        let base = if cand { 2 } else { 0 };
-        out[base] = share_u;
-        out[base + 1] = share_v;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -496,7 +327,7 @@ mod tests {
             let mut cache = EdgeDpCache::new();
             // Two calls per slice: the second hits the warm cache.
             for _ in 0..2 {
-                let got = edge_shares(
+                let got = super::super::edge_shares_cached(
                     &mut cache, &fx, over_u, 11, 0.25, 0.5, &fy, over_v, 6, 0.125, 0.2, slice,
                 );
                 let want = reference::edge_shares(
@@ -507,21 +338,6 @@ mod tests {
                     want.map(f64::to_bits),
                     "slice {slice}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn cached_marginal_matches_reference() {
-        let (fx, _) = sample();
-        for slice in 0..fx.len() {
-            let mut cache = MarginalDpCache::new();
-            for t in [0u64, 3, 7, 11, 16] {
-                for over in [form(false, 0, false), form(true, 0b0010, false)] {
-                    let got = prob_lt_override(&mut cache, &fx, over, t, slice);
-                    let want = reference::prob_lt_override(&fx, Some((slice, over)), t);
-                    assert_eq!(got.to_bits(), want.to_bits(), "slice {slice} t {t}");
-                }
             }
         }
     }

@@ -1,15 +1,22 @@
-//! Reference tier: the digit DP exactly as it lived in
+//! The oracle: the digit DP exactly as it lived in
 //! `dcl_derand::slice::SliceFamily` and the edge aggregation exactly as it
 //! lived in `dcl_core::derand_step` — moved, not rewritten. `self.b` became
-//! `forms.len()`; every float operation and its order is unchanged. The
-//! other tiers are proven against this code.
+//! `forms.len()`; every float operation and its order is unchanged. No
+//! production code calls this module; the tests prove every production
+//! entry point bit-identical to it.
 
+use super::assert_width;
 use crate::forms::{pair_dist_of_forms, BitForm};
 
 /// `Pr[z < t]`, position `i` replaced by `f` when `over = Some((i, f))`.
+///
+/// # Panics
+///
+/// Panics when `forms.len() ≥ 64`.
 #[must_use]
 pub fn prob_lt_override(forms: &[BitForm], over: Option<(usize, BitForm)>, t: u64) -> f64 {
     let b = forms.len();
+    assert_width(b);
     if t >= 1 << b {
         return 1.0;
     }
@@ -37,6 +44,10 @@ pub fn prob_lt_override(forms: &[BitForm], over: Option<(usize, BitForm)>, t: u6
 /// States track, per coordinate, whether the output prefix is still equal
 /// to the threshold prefix or already strictly less; mass where a
 /// coordinate exceeds its threshold prefix is discarded.
+///
+/// # Panics
+///
+/// Panics when the inputs have 64 or more digits.
 #[must_use]
 pub fn prob_joint_lt_override(
     forms_x: &[BitForm],
@@ -47,6 +58,7 @@ pub fn prob_joint_lt_override(
     t_y: u64,
 ) -> f64 {
     let b = forms_x.len();
+    assert_width(b);
     debug_assert_eq!(b, forms_y.len(), "inputs must share the output width");
     let full = 1u64 << b;
     if t_x >= full && t_y >= full {

@@ -1,43 +1,32 @@
-//! Scalar-SoA tier: the same DP on the `Soa` layout.
+//! The stateless SoA evaluator: the digit DP on [`PackedForms`].
 //!
 //! Bit-identity argument: per digit, the five-case split is resolved by
-//! integer bit tests on the `known`/`offset` bitsets, and the nonzero pmf
-//! entries are emitted **in ascending pmf-index order** — exactly the
-//! entries the reference's `idx 0..4, skip prob == 0` loop visits, in the
-//! same order. The transition body is the reference's inner loop verbatim,
-//! so every accumulator sees the same float operations in the same order.
-//! What this tier removes is overhead *around* the float ops: the
-//! per-position override branch (pre-applied by `Soa::pack`), the
-//! `PairDist` enum and its `[f64; 4]` pmf materialization, and the
-//! zero-probability float compares.
+//! integer bit tests on the `known`/`offset` bitsets, and [`DigitPmf`]
+//! emits the nonzero pmf entries in ascending pmf-index order — exactly
+//! the entries the reference loop visits, in the same order, through the
+//! reference's transition body. So every accumulator sees the same float
+//! operations in the same order. What this evaluator removes is overhead
+//! *around* the float ops: the per-position override branch (pre-applied
+//! by the pack), the `PairDist` enum and its `[f64; 4]` pmf
+//! materialization, and the zero-probability float compares.
 
-use super::Soa;
-use crate::forms::BitForm;
+use super::{marg_step, DigitPmf, PackedForms};
 
-/// Marginal digit DP on a packed input. Same op sequence as the reference
-/// ([`super::reference::prob_lt_override`]); the override is already packed.
-#[must_use]
-pub(crate) fn prob_lt(s: &Soa, t: u64) -> f64 {
+/// Marginal digit DP on a packed input. Same op sequence as
+/// [`super::reference::prob_lt_override`]; any override is already packed.
+pub(crate) fn prob_lt(s: &PackedForms, t: u64) -> f64 {
     if t >= 1 << s.b {
         return 1.0;
     }
-    let mut p_eq = 1.0f64;
-    let mut p_lt = 0.0f64;
+    let mut st = [1.0f64, 0.0f64];
     for i in (0..s.b).rev() {
-        let p1 = s.prob_one(i);
-        if t >> i & 1 == 1 {
-            p_lt += p_eq * (1.0 - p1);
-            p_eq *= p1;
-        } else {
-            p_eq *= 1.0 - p1;
-        }
+        marg_step(&mut st, s.prob_one(i), t >> i & 1);
     }
-    p_lt
+    st[1]
 }
 
 /// Joint digit DP on packed inputs.
-#[must_use]
-pub(crate) fn prob_joint_lt(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> f64 {
+pub(crate) fn prob_joint_lt(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y: u64) -> f64 {
     debug_assert_eq!(sx.b, sy.b, "inputs must share the output width");
     let b = sx.b;
     let full = 1u64 << b;
@@ -50,86 +39,16 @@ pub(crate) fn prob_joint_lt(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> f64 {
     if t_y >= full {
         return prob_lt(sx, t_x);
     }
-    let mut ee = 1.0f64;
-    let mut el = 0.0f64;
-    let mut le = 0.0f64;
-    let mut ll = 0.0f64;
+    let mut st = [1.0f64, 0.0, 0.0, 0.0];
     for i in (0..b).rev() {
-        let tbx = t_x >> i & 1;
-        let tby = t_y >> i & 1;
-        let kx = sx.known >> i & 1 == 1;
-        let ky = sy.known >> i & 1 == 1;
-        let ox = sx.offset >> i & 1;
-        let oy = sy.offset >> i & 1;
-        // The nonzero pmf entries `(bx, by, prob)` in ascending pmf-index
-        // (`bx<<1|by`) order — the exact visit order of the reference loop.
-        let mut entries = [(0u64, 0u64, 0.0f64); 4];
-        let count = match (kx, ky) {
-            (true, true) => {
-                entries[0] = (ox, oy, 1.0);
-                1
-            }
-            (true, false) => {
-                entries[0] = (ox, 0, 0.5);
-                entries[1] = (ox, 1, 0.5);
-                2
-            }
-            (false, true) => {
-                entries[0] = (0, oy, 0.5);
-                entries[1] = (1, oy, 0.5);
-                2
-            }
-            (false, false) => {
-                if sx.masks[i] == sy.masks[i] {
-                    let d = ox ^ oy;
-                    entries[0] = (0, d, 0.5);
-                    entries[1] = (1, 1 ^ d, 0.5);
-                    2
-                } else {
-                    entries[0] = (0, 0, 0.25);
-                    entries[1] = (0, 1, 0.25);
-                    entries[2] = (1, 0, 0.25);
-                    entries[3] = (1, 1, 0.25);
-                    4
-                }
-            }
-        };
-        let (mut nee, mut nel, mut nle, mut nll) = (0.0, 0.0, 0.0, 0.0);
-        for &(bx, by, prob) in &entries[..count] {
-            let cx = bx.cmp(&tbx);
-            let cy = by.cmp(&tby);
-            use std::cmp::Ordering::*;
-            match (cx, cy) {
-                (Greater, _) | (_, Greater) => {}
-                (Equal, Equal) => nee += ee * prob,
-                (Equal, Less) => nel += ee * prob,
-                (Less, Equal) => nle += ee * prob,
-                (Less, Less) => nll += ee * prob,
-            }
-            match cx {
-                Greater => {}
-                Equal => nel += el * prob,
-                Less => nll += el * prob,
-            }
-            match cy {
-                Greater => {}
-                Equal => nle += le * prob,
-                Less => nll += le * prob,
-            }
-            nll += ll * prob;
-        }
-        ee = nee;
-        el = nel;
-        le = nle;
-        ll = nll;
+        DigitPmf::of_packed(sx, sy, i).step(&mut st, t_x >> i & 1, t_y >> i & 1);
     }
-    ll
+    st[3]
 }
 
 /// Coin probabilities on packed inputs; the combine replays the reference
 /// order (`p11`, `px`, `py`, then the clamped differences).
-#[must_use]
-pub(crate) fn joint_coin_probs(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> [f64; 4] {
+pub(crate) fn joint_coin_probs(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y: u64) -> [f64; 4] {
     let p11 = prob_joint_lt(sx, t_x, sy, t_y);
     let px = prob_lt(sx, t_x);
     let py = prob_lt(sy, t_y);
@@ -139,59 +58,65 @@ pub(crate) fn joint_coin_probs(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> [f64; 
     [p00, p01, p10, p11]
 }
 
-/// Edge aggregation: pack each endpoint once per candidate (the override
-/// differs between candidates), then run the three DPs per candidate in
-/// reference order.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn edge_shares(
-    forms_u: &[BitForm],
-    over_u: [BitForm; 2],
-    t_u: u64,
-    k0_inv_u: f64,
-    k1_inv_u: f64,
-    forms_v: &[BitForm],
-    over_v: [BitForm; 2],
-    t_v: u64,
-    k0_inv_v: f64,
-    k1_inv_v: f64,
-    slice: usize,
-) -> [f64; 4] {
-    let mut out = [0.0f64; 4];
-    for cand in [false, true] {
-        let su = Soa::pack(forms_u, Some((slice, over_u[usize::from(cand)])));
-        let sv = Soa::pack(forms_v, Some((slice, over_v[usize::from(cand)])));
-        let p = joint_coin_probs(&su, t_u, &sv, t_v);
-        let share_u = p[3] * k1_inv_u + p[0] * k0_inv_u;
-        let share_v = p[3] * k1_inv_v + p[0] * k0_inv_v;
-        let base = if cand { 2 } else { 0 };
-        out[base] = share_u;
-        out[base + 1] = share_v;
-    }
-    out
-}
-
-/// Interval probability: pack both endpoints once, reuse across the four
-/// CDF corners, combine in the fixed order.
-#[must_use]
-pub fn joint_interval(
-    forms_u: &[BitForm],
+/// Interval probability: the four CDF corners `J(a, c)` of
+/// `Pr[z_u ∈ [ul, uh) ∧ z_v ∈ [vl, vh)]`, combined in the fixed order.
+///
+/// Each corner resolves in one of three ways, all bit-identical to
+/// [`prob_joint_lt`] on that corner:
+///
+/// - a zero threshold gives `+0.0` without running any DP. `z < 0` is
+///   impossible, so the DP only ever adds `+0.0` terms into that corner's
+///   `ll` (every term is a product of non-negative finite factors, and the
+///   states that could carry mass into `ll` never leave `+0.0`);
+/// - a threshold at `2^b` resolves to `1` or a marginal, as in the
+///   reference guards;
+/// - every other corner runs the joint DP. Those corners share one walk
+///   over the digits: each digit's pmf is built once, and each corner
+///   steps its own `[ee, el, le, ll]` state through it. The corners'
+///   accumulators are independent, so interleaving them reorders no
+///   single accumulator's operations.
+pub(crate) fn joint_interval(
+    su: &PackedForms,
     ul: u64,
     uh: u64,
-    forms_v: &[BitForm],
+    sv: &PackedForms,
     vl: u64,
     vh: u64,
 ) -> f64 {
-    let su = Soa::pack(forms_u, None);
-    let sv = Soa::pack(forms_v, None);
-    joint_interval_packed(&su, ul, uh, &sv, vl, vh)
-}
-
-/// Interval probability on inputs the caller keeps packed (the clique/MPC
-/// drivers' SoA scratch): the four CDF corners and the fixed combine,
-/// without the per-call pack.
-#[must_use]
-pub fn joint_interval_packed(su: &Soa, ul: u64, uh: u64, sv: &Soa, vl: u64, vh: u64) -> f64 {
-    let j = |a: u64, b: u64| prob_joint_lt(su, a, sv, b);
-    (j(uh, vh) - j(ul, vh) - j(uh, vl) + j(ul, vl)).max(0.0)
+    debug_assert_eq!(su.b, sv.b, "inputs must share the output width");
+    let full = 1u64 << su.b;
+    let corners = [(uh, vh), (ul, vh), (uh, vl), (ul, vl)];
+    let mut j = [0.0f64; 4];
+    // Corners that need the joint DP: (index into `corners`, state).
+    let mut live = [(0usize, [1.0f64, 0.0, 0.0, 0.0]); 4];
+    let mut n = 0;
+    for (idx, &(a, c)) in corners.iter().enumerate() {
+        j[idx] = if a == 0 || c == 0 {
+            0.0
+        } else if a >= full && c >= full {
+            1.0
+        } else if a >= full {
+            prob_lt(sv, c)
+        } else if c >= full {
+            prob_lt(su, a)
+        } else {
+            live[n].0 = idx;
+            n += 1;
+            continue;
+        };
+    }
+    let live = &mut live[..n];
+    if !live.is_empty() {
+        for i in (0..su.b).rev() {
+            let pmf = DigitPmf::of_packed(su, sv, i);
+            for (idx, st) in live.iter_mut() {
+                let (a, c) = corners[*idx];
+                pmf.step(st, a >> i & 1, c >> i & 1);
+            }
+        }
+        for &(idx, st) in live.iter() {
+            j[idx] = st[3];
+        }
+    }
+    (j[0] - j[1] - j[2] + j[3]).max(0.0)
 }

@@ -1,71 +1,45 @@
-//! Arch-dispatched numeric kernels for the simulator's hot loops.
+//! The numeric kernels behind the simulator's hot loops.
 //!
 //! ~90% of Theorem 1.1 runtime is the Lemma 2.6 per-edge
-//! conditional-expectation loop; the rest of the budget is dominated by the
-//! drivers' `argmin_f64` candidate selection and the wire-accounting
-//! arithmetic. This crate owns those three numeric families as *kernels*
-//! with four implementation tiers, selected at runtime by one
-//! dispatch module ([`tier`]):
+//! conditional-expectation loop. This crate owns that loop — the digit DP
+//! over the joint distribution of two hash outputs ([`digit_dp`]) — plus
+//! the bit-accounting ([`bits`]) and ratio ([`ratio`]) arithmetic the
+//! drivers and the wire-cost model share.
 //!
-//! - **reference** — the code exactly as it lived at its original call
-//!   site, moved verbatim. The semantic anchor every other tier is proven
-//!   against.
-//! - **scalar** — SoA (struct-of-arrays) restructured, allocation-free,
-//!   autovectorization-friendly. Replays the reference's float operation
-//!   sequence step for step, so results are bit-identical by construction.
-//! - **simd** — explicit stable `std::arch` SIMD on x86_64 (SSE2 for the
-//!   digit DP, AVX2 for `argmin`/`bit_len` when detected at runtime via
-//!   [`std::arch::is_x86_feature_detected`]), falling back to `scalar`
-//!   elsewhere.
-//! - **incremental** — stateful digit-DP evaluation
-//!   ([`digit_dp::incremental`]): callers following the monotone seed
-//!   schedule carry a per-edge [`digit_dp::EdgeDpCache`] of DP prefix
-//!   states, so each seed-bit evaluation replays only the overridden
-//!   digit and the trailing digits instead of the full width. The cached
-//!   prefix is a literal memo of the reference computation's leading
-//!   steps, so results stay bit-identical. Kernels with no stateful
-//!   variant ride the SIMD ceiling under this tier.
+//! Every production entry point has exactly one implementation:
+//!
+//! - the stateless digit-DP entry points run the SoA (struct-of-arrays)
+//!   evaluator on [`digit_dp::PackedForms`];
+//! - `edge_shares_cached` runs the prefix-cached evaluator
+//!   ([`digit_dp::incremental`]), which replays only the digits the
+//!   monotone seed schedule can still change;
+//! - `joint_interval_packed` walks the digits once for all of its CDF
+//!   corners.
+//!
+//! [`digit_dp::reference`] keeps the DP exactly as it lived at its original
+//! call sites. No production code calls it; it is the oracle the tests
+//! compare every entry point against.
 //!
 //! # The float-association rule
 //!
-//! Every tier must produce **bit-identical** `f64` results, not merely
-//! approximately equal ones: PRs 2–6 property-tested the whole system
-//! bit-identical across backends, bandwidth caps, and transports, and the
-//! kernels tier must not be the layer that breaks that contract. The rule
-//! that makes this possible: *a tier may reorder independent work, but
-//! never the accumulation order of any single float accumulator*. The SIMD
-//! tiers therefore vectorize **across independent DP instances** (one
-//! instance per lane, each lane replaying the scalar op sequence exactly)
-//! rather than across the digits of one instance, and `argmin` uses a
-//! fixed-width lane reduction with a defined lane-order combine. Masked
-//! lanes contribute `+0.0` adds, which are bit-preserving because every
-//! accumulated term is finite and non-negative (probabilities). The
-//! cross-tier property tests in `tests/tier_equivalence.rs` and the
-//! whole-pipeline oracle in the facade's `kernel_tier_oracle.rs` enforce
-//! the contract.
-//!
-//! # Dispatch
-//!
-//! [`tier::family_tier`] picks the tier per kernel family: an explicit
-//! override — [`tier::set_active_tier`] or the `DCL_KERNEL_TIER`
-//! environment variable (`reference` / `scalar` / `simd` /
-//! `incremental`) — forces every family to one tier (the tier-matrix
-//! tests rely on this), otherwise each family uses its measured-best
-//! default ([`tier::default_family_tier`], pinned against the committed
-//! `BENCH_bench.json` by `tests/family_dispatch.rs`).
+//! Every entry point produces **bit-identical** `f64` results to the
+//! reference, not merely approximately equal ones: the whole system is
+//! property-tested bit-identical across backends, bandwidth caps,
+//! transports and the service, and the kernels must not be the layer that
+//! breaks that contract. The rule that makes this possible: *an
+//! implementation may reorder independent work, but never the accumulation
+//! order of any single float accumulator*. The cached prefix of the
+//! incremental evaluator and the interleaved corners of the interval
+//! evaluator both obey it. The bitwise equivalence suite in
+//! `tests/tier_equivalence.rs` and the brute-force oracle in
+//! `dcl_derand/tests/digit_dp_oracle.rs` enforce the contract.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod argmin;
 pub mod bits;
 pub mod digit_dp;
 pub mod forms;
 pub mod ratio;
-pub mod tier;
 
 pub use forms::{pair_dist_of_forms, BitForm, PairDist};
-pub use tier::{
-    active_tier, clear_active_tier, default_family_tier, detected_tier, dispatch_label,
-    family_tier, set_active_tier, simd_features, KernelFamily, KernelTier,
-};

@@ -1,15 +1,11 @@
-//! Family 3 (continued): ratio and reciprocal arithmetic on counter pairs.
+//! Ratio and reciprocal arithmetic on counter pairs.
 //!
 //! The potential function `Φ(v) = conflict_degree(v) / |candidates(v)|`
 //! and the per-label shares `1 / |L_ℓ(v)|` are the only float divisions in
-//! the hot paths. The single-value helpers are shared by all tiers —
-//! division is correctly rounded under IEEE 754, so there is exactly one
-//! valid bit pattern per input and nothing to prove. The batch entry
-//! points are dispatched so the per-phase setup loops (one division per
-//! node) can vectorize; the SIMD tier zeroes `k = 0` lanes with a compare
-//! mask instead of a branch, which is bitwise the same `0.0`.
-
-use crate::tier::{family_tier, KernelFamily, KernelTier};
+//! the hot paths. Division is correctly rounded under IEEE 754, so there
+//! is exactly one valid bit pattern per input; the batch helpers are plain
+//! loops over the single-value ones, for the per-phase setup loops (one
+//! division per node).
 
 /// `num / den` as `f64`. The caller asserts `den > 0` (the potential is
 /// undefined for a node with no candidates).
@@ -36,25 +32,8 @@ pub fn recip_or_zero(k: usize) -> f64 {
 /// Panics if the slices have different lengths.
 pub fn recip_batch(ks: &[usize], out: &mut [f64]) {
     assert_eq!(ks.len(), out.len(), "batch slices must have equal length");
-    match family_tier(KernelFamily::Ratio) {
-        KernelTier::Reference => {
-            for (k, o) in ks.iter().zip(out.iter_mut()) {
-                *o = recip_or_zero(*k);
-            }
-        }
-        KernelTier::Scalar => recip_scalar(ks, out),
-        KernelTier::Simd | KernelTier::Incremental => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if ks.len() >= 4 {
-                    // SAFETY: SSE2 is part of the x86_64 baseline, so the
-                    // target feature is always available here.
-                    unsafe { sse2::recip_batch(ks, out) };
-                    return;
-                }
-            }
-            recip_scalar(ks, out);
-        }
+    for (k, o) in ks.iter().zip(out.iter_mut()) {
+        *o = recip_or_zero(*k);
     }
 }
 
@@ -71,93 +50,14 @@ pub fn ratio_batch(nums: &[usize], dens: &[usize], out: &mut [f64]) {
         "batch slices must have equal length"
     );
     assert_eq!(nums.len(), out.len(), "batch slices must have equal length");
-    match family_tier(KernelFamily::Ratio) {
-        KernelTier::Reference => {
-            for i in 0..nums.len() {
-                out[i] = ratio(nums[i], dens[i]);
-            }
-        }
-        KernelTier::Scalar => ratio_scalar(nums, dens, out),
-        KernelTier::Simd | KernelTier::Incremental => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if nums.len() >= 4 {
-                    // SAFETY: SSE2 is part of the x86_64 baseline, so the
-                    // target feature is always available here.
-                    unsafe { sse2::ratio_batch(nums, dens, out) };
-                    return;
-                }
-            }
-            ratio_scalar(nums, dens, out);
-        }
-    }
-}
-
-fn recip_scalar(ks: &[usize], out: &mut [f64]) {
-    for (k, o) in ks.iter().zip(out.iter_mut()) {
-        *o = if *k > 0 { 1.0 / *k as f64 } else { 0.0 };
-    }
-}
-
-fn ratio_scalar(nums: &[usize], dens: &[usize], out: &mut [f64]) {
-    for i in 0..nums.len() {
-        out[i] = nums[i] as f64 / dens[i] as f64;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use std::arch::x86_64::{
-        _mm_and_pd, _mm_cmpgt_pd, _mm_cvtsd_f64, _mm_div_pd, _mm_set1_pd, _mm_set_pd,
-        _mm_unpackhi_pd,
-    };
-
-    /// Two reciprocals per iteration: `divpd` of 1.0 by the exact `f64`
-    /// conversions, with `k > 0` compare masks zeroing empty-list lanes.
-    /// The `usize → f64` conversion runs scalar (the counts are small and
-    /// exact; correctness over cleverness).
-    #[target_feature(enable = "sse2")]
-    pub(super) fn recip_batch(ks: &[usize], out: &mut [f64]) {
-        let one = _mm_set1_pd(1.0);
-        let zero = _mm_set1_pd(0.0);
-        let chunks = ks.len() / 2 * 2;
-        let mut i = 0;
-        while i < chunks {
-            let k = _mm_set_pd(ks[i + 1] as f64, ks[i] as f64);
-            let mask = _mm_cmpgt_pd(k, zero);
-            let r = _mm_and_pd(_mm_div_pd(one, k), mask);
-            out[i] = _mm_cvtsd_f64(r);
-            out[i + 1] = _mm_cvtsd_f64(_mm_unpackhi_pd(r, r));
-            i += 2;
-        }
-        if i < ks.len() {
-            out[i] = if ks[i] > 0 { 1.0 / ks[i] as f64 } else { 0.0 };
-        }
-    }
-
-    /// Two ratios per iteration; denominators are caller-asserted positive.
-    #[target_feature(enable = "sse2")]
-    pub(super) fn ratio_batch(nums: &[usize], dens: &[usize], out: &mut [f64]) {
-        let chunks = nums.len() / 2 * 2;
-        let mut i = 0;
-        while i < chunks {
-            let n = _mm_set_pd(nums[i + 1] as f64, nums[i] as f64);
-            let d = _mm_set_pd(dens[i + 1] as f64, dens[i] as f64);
-            let r = _mm_div_pd(n, d);
-            out[i] = _mm_cvtsd_f64(r);
-            out[i + 1] = _mm_cvtsd_f64(_mm_unpackhi_pd(r, r));
-            i += 2;
-        }
-        if i < nums.len() {
-            out[i] = nums[i] as f64 / dens[i] as f64;
-        }
+    for ((o, &n), &d) in out.iter_mut().zip(nums).zip(dens) {
+        *o = ratio(n, d);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::{clear_active_tier, set_active_tier, KernelTier};
 
     #[test]
     fn single_value_helpers() {
@@ -167,7 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_match_singles_across_tiers() {
+    fn batches_match_singles() {
         let ks: Vec<usize> = (0..37).map(|i| i * 7 % 11).collect();
         let nums: Vec<usize> = (0..37).map(|i| i * 13 % 29).collect();
         let dens: Vec<usize> = (0..37).map(|i| 1 + i * 5 % 17).collect();
@@ -177,16 +77,12 @@ mod tests {
             .zip(&dens)
             .map(|(&n, &d)| ratio(n, d).to_bits())
             .collect();
-        for tier in KernelTier::all() {
-            set_active_tier(tier);
-            let mut out = vec![0.0f64; ks.len()];
-            recip_batch(&ks, &mut out);
-            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want_recip, "recip tier {}", tier.name());
-            ratio_batch(&nums, &dens, &mut out);
-            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want_ratio, "ratio tier {}", tier.name());
-        }
-        clear_active_tier();
+        let mut out = vec![0.0f64; ks.len()];
+        recip_batch(&ks, &mut out);
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want_recip);
+        ratio_batch(&nums, &dens, &mut out);
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want_ratio);
     }
 }

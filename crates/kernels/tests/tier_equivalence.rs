@@ -1,62 +1,22 @@
-//! Cross-tier bit-identity property tests.
+//! Bitwise equivalence of every production digit-DP entry point with the
+//! reference oracle.
 //!
-//! Every kernel family must produce **bit-identical** `f64` results under
-//! all four tiers (`reference` / `scalar` / `simd` / `incremental`) — the
-//! float-association rule of the crate docs, checked here with `to_bits`
+//! Each public entry point (`prob_lt_override`, `prob_joint_lt_override`,
+//! `joint_coin_probs_override`, `joint_coin_probs_packed`,
+//! `joint_interval_packed`, `edge_shares_cached`) must produce
+//! **bit-identical** `f64` results to `digit_dp::reference` — the
+//! float-association rule of the crate docs, checked with `to_bits`
 //! equality rather than epsilon comparison. Inputs are arbitrary
-//! same-slice form vectors, thresholds (including the inclusive `t = 2^b`
-//! edge) and single-position overrides derived by real "fix one seed bit"
-//! semantics. The stateful incremental evaluator is additionally driven
-//! through full monotone seed schedules, checking warm-cache vs fresh
+//! same-slice form vectors, thresholds (biased towards the `0` and
+//! inclusive `2^b` edges, where the zero-corner shortcut and the marginal
+//! guards fire) and single-position overrides derived by real "fix one
+//! seed bit" semantics. The prefix-cached evaluator is additionally driven
+//! through full monotone seed schedules, checking warm-cache vs cold-cache
 //! equality after every fix.
 
-use dcl_kernels::digit_dp::{incremental, EdgeDpCache};
-use dcl_kernels::{argmin, bits, digit_dp, ratio};
-use dcl_kernels::{clear_active_tier, set_active_tier, BitForm, KernelTier};
+use dcl_kernels::digit_dp::{self, reference, EdgeDpCache, PackedForms};
+use dcl_kernels::{ratio, BitForm};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Tier forcing mutates one process-global; serialize the tests in this
-/// binary so no case observes a foreign tier mid-matrix.
-fn lock_tier() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` once per tier (reference, scalar, simd, incremental — in that
-/// order) and restores per-family dispatch afterwards.
-fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 4] {
-    let _guard = lock_tier();
-    let out = KernelTier::all().map(|tier| {
-        set_active_tier(tier);
-        f()
-    });
-    clear_active_tier();
-    out
-}
-
-fn assert_tiers_agree<T: PartialEq + std::fmt::Debug>(
-    label: &str,
-    results: [T; 4],
-) -> Result<(), TestCaseError> {
-    let [reference, scalar, simd, incremental] = results;
-    prop_assert_eq!(
-        &reference,
-        &scalar,
-        "{}: scalar diverged from reference",
-        label
-    );
-    prop_assert_eq!(&reference, &simd, "{}: simd diverged from reference", label);
-    prop_assert_eq!(
-        &reference,
-        &incremental,
-        "{}: incremental diverged from reference",
-        label
-    );
-    Ok(())
-}
 
 /// Decodes two same-slice form vectors of `b` digits from raw generator
 /// words. Per position: `s_free` is shared (same slice, same seed), the
@@ -128,13 +88,42 @@ fn fix_forms(fx: BitForm, fy: BitForm, which: u64, val: bool) -> (BitForm, BitFo
     (gx, gy)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A threshold in `0..=full`, landing on `0` or `full` half of the time.
+fn threshold(raw: u64, full: u64) -> u64 {
+    match raw % 4 {
+        0 => 0,
+        1 => full,
+        _ => (raw >> 2) % (full + 1),
+    }
+}
 
-    /// Marginal, joint and four-outcome coin DPs are bit-identical across
-    /// tiers, with and without single-position overrides.
+/// `forms` with position `p` replaced by `f` — the override applied by
+/// hand, for the packed entry points.
+fn with_override(forms: &[BitForm], over: Option<(usize, BitForm)>) -> Vec<BitForm> {
+    let mut out = forms.to_vec();
+    if let Some((p, f)) = over {
+        out[p] = f;
+    }
+    out
+}
+
+/// `joint_interval_packed` vs the reference on unpacked forms.
+fn interval_bits(fu: &[BitForm], fv: &[BitForm], [ul, uh, vl, vh]: [u64; 4]) -> (u64, u64) {
+    let (su, sv) = (PackedForms::from_forms(fu), PackedForms::from_forms(fv));
+    (
+        digit_dp::joint_interval_packed(&su, ul, uh, &sv, vl, vh).to_bits(),
+        reference::joint_interval(fu, ul, uh, fv, vl, vh).to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Marginal, joint and four-outcome coin DPs equal the reference
+    /// bitwise, with and without single-position overrides, through both
+    /// the override and the packed entry points.
     #[test]
-    fn digit_dp_probs_bit_identical_across_tiers(
+    fn digit_dp_probs_match_reference(
         b in 1usize..=6,
         s_free_bits in any::<u64>(),
         offs in any::<u64>(),
@@ -148,7 +137,7 @@ proptest! {
             b, s_free_bits, offs, offs >> 8, mask_seed_x, mask_seed_y, corr_bits,
         );
         let full = 1u64 << b;
-        let (tx, ty) = (ts % (full + 1), (ts >> 32) % (full + 1));
+        let (tx, ty) = (threshold(ts, full), threshold(ts >> 32, full));
         let p = (ctrl % b as u64) as usize;
         let (over_which, over_val, use_over) =
             (ctrl >> 8, ctrl >> 16 & 1 == 1, ctrl >> 17 & 1 == 1);
@@ -159,24 +148,67 @@ proptest! {
             (None, None)
         };
 
-        let results = per_tier(|| {
-            let marginal_x = digit_dp::prob_lt_override(&fx, over_x, tx).to_bits();
-            let marginal_y = digit_dp::prob_lt_override(&fy, over_y, ty).to_bits();
-            let joint =
-                digit_dp::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits();
-            let coins = digit_dp::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
-                .map(f64::to_bits);
-            (marginal_x, marginal_y, joint, coins)
-        });
-        assert_tiers_agree("digit_dp probs", results)?;
+        for (forms, over, t) in [(&fx, over_x, tx), (&fy, over_y, ty)] {
+            prop_assert_eq!(
+                digit_dp::prob_lt_override(forms, over, t).to_bits(),
+                reference::prob_lt_override(forms, over, t).to_bits(),
+                "marginal t={}", t
+            );
+        }
+        prop_assert_eq!(
+            digit_dp::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits(),
+            reference::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits(),
+            "joint t=({}, {})", tx, ty
+        );
+        let want = reference::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
+            .map(f64::to_bits);
+        prop_assert_eq!(
+            digit_dp::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
+                .map(f64::to_bits),
+            want,
+            "coins t=({}, {})", tx, ty
+        );
+        let sx = PackedForms::from_forms(&with_override(&fx, over_x));
+        let sy = PackedForms::from_forms(&with_override(&fy, over_y));
+        prop_assert_eq!(
+            digit_dp::joint_coin_probs_packed(&sx, tx, &sy, ty).map(f64::to_bits),
+            want,
+            "packed coins t=({}, {})", tx, ty
+        );
     }
 
-    /// The per-edge aggregation kernels (`edge_shares`, `joint_interval`)
-    /// are bit-identical across tiers — these are the entry points the
-    /// SIMD tier actually lane-pairs, so they exercise the masked-lane
-    /// `+0.0` argument directly.
+    /// `joint_interval_packed` (one digit walk, zero-corner shortcut)
+    /// equals the reference's four independent corner DPs bitwise, on
+    /// arbitrary — not necessarily ordered — interval bounds.
     #[test]
-    fn edge_aggregation_bit_identical_across_tiers(
+    fn joint_interval_matches_reference(
+        b in 1usize..=6,
+        s_free_bits in any::<u64>(),
+        offs in any::<u64>(),
+        mask_seed_u in any::<u64>(),
+        mask_seed_v in any::<u64>(),
+        corr_bits in any::<u64>(),
+        bounds_lo in any::<u64>(),
+        bounds_hi in any::<u64>(),
+    ) {
+        let (fu, fv) = decode_forms(
+            b, s_free_bits, offs, offs >> 8, mask_seed_u, mask_seed_v, corr_bits,
+        );
+        let full = 1u64 << b;
+        let bounds = [
+            threshold(bounds_lo, full),
+            threshold(bounds_lo >> 32, full),
+            threshold(bounds_hi, full),
+            threshold(bounds_hi >> 32, full),
+        ];
+        let (got, want) = interval_bits(&fu, &fv, bounds);
+        prop_assert_eq!(got, want, "interval {:?}", bounds);
+    }
+
+    /// `edge_shares_cached` on a cold cache equals the reference edge
+    /// aggregation bitwise.
+    #[test]
+    fn edge_shares_cached_matches_reference(
         b in 1usize..=6,
         s_free_bits in any::<u64>(),
         offs in any::<u64>(),
@@ -184,7 +216,6 @@ proptest! {
         mask_seed_v in any::<u64>(),
         corr_bits in any::<u64>(),
         ts in any::<u64>(),
-        bounds_raw in any::<u64>(),
         ctrl in any::<u64>(),
         kraw in any::<u64>(),
     ) {
@@ -192,119 +223,35 @@ proptest! {
             b, s_free_bits, offs, offs >> 8, mask_seed_u, mask_seed_v, corr_bits,
         );
         let full = 1u64 << b;
-        let (tu, tv) = (ts % (full + 1), (ts >> 32) % (full + 1));
+        let (tu, tv) = (threshold(ts, full), threshold(ts >> 32, full));
         let slice = (ctrl % b as u64) as usize;
         let over_which = ctrl >> 8;
-        let (k0_u, k1_u, k0_v, k1_v) = (
-            (kraw % 9) as usize,
-            ((kraw >> 8) % 9) as usize,
-            ((kraw >> 16) % 9) as usize,
-            ((kraw >> 24) % 9) as usize,
-        );
+        let inv = |shift: u32| ratio::recip_or_zero((kraw >> shift) as usize % 9);
         let (u0, v0) = fix_forms(fu[slice], fv[slice], over_which, false);
         let (u1, v1) = fix_forms(fu[slice], fv[slice], over_which, true);
-        let inv = ratio::recip_or_zero;
 
-        let (a, bb) = (bounds_raw % (full + 1), bounds_raw >> 8 & 0xff);
-        let (ul, uh) = (a.min(bb % (full + 1)), a.max(bb % (full + 1)));
-        let c = bounds_raw >> 16 & 0xff;
-        let d = bounds_raw >> 24 & 0xff;
-        let (vl, vh) = ((c % (full + 1)).min(d % (full + 1)), (c % (full + 1)).max(d % (full + 1)));
-
-        let results = per_tier(|| {
-            let shares = digit_dp::edge_shares(
-                &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
-                &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
-                slice,
-            )
-            .map(f64::to_bits);
-            let interval = digit_dp::joint_interval(&fu, ul, uh, &fv, vl, vh).to_bits();
-            (shares, interval)
-        });
-        assert_tiers_agree("edge aggregation", results)?;
+        let got = digit_dp::edge_shares_cached(
+            &mut EdgeDpCache::new(),
+            &fu, [u0, u1], tu, inv(0), inv(8),
+            &fv, [v0, v1], tv, inv(16), inv(24),
+            slice,
+        );
+        let want = reference::edge_shares(
+            &fu, [u0, u1], tu, inv(0), inv(8),
+            &fv, [v0, v1], tv, inv(16), inv(24),
+            slice,
+        );
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
     }
 
-    /// `argmin_f64` is bit-identical across tiers on adversarial score
-    /// vectors: ties, NaN, infinities, signed zeros, arbitrary lengths
-    /// (covering lane remainders and the `len < 8` SIMD bail-out).
+    /// The prefix-cached evaluator driven through a full monotone seed
+    /// schedule: slices are processed in increasing order, and within each
+    /// slice's window several seed bits are fixed in turn (mutating only
+    /// that slice's form — the contract `EdgeDpCache` relies on). After
+    /// **every** fix, the warm persistent cache must agree bitwise with a
+    /// cold cache and with the reference.
     #[test]
-    fn argmin_bit_identical_across_tiers(
-        raw in collection::vec((0u8..8, 0.0f64..1.0), 0..48),
-    ) {
-        let scores: Vec<f64> = raw
-            .iter()
-            .map(|&(code, v)| match code {
-                4 => f64::NAN,
-                5 => f64::INFINITY,
-                6 => 0.0,
-                7 => -0.0,
-                // Quantize to 1/8ths so exact ties are common.
-                _ => (v * 8.0).floor() / 8.0,
-            })
-            .collect();
-
-        // The per-tier implementations are public: compare them directly,
-        // then confirm the dispatcher routes to the same answer per tier.
-        let anchor = argmin::reference(&scores);
-        let anchor_bits = (anchor.0.to_bits(), anchor.1);
-        let scalar = argmin::scalar(&scores);
-        let simd = argmin::simd(&scores);
-        prop_assert_eq!((scalar.0.to_bits(), scalar.1), anchor_bits, "scalar");
-        prop_assert_eq!((simd.0.to_bits(), simd.1), anchor_bits, "simd");
-        let dispatched = per_tier(|| {
-            let (m, i) = argmin::argmin_f64(&scores);
-            (m.to_bits(), i)
-        });
-        assert_tiers_agree("argmin dispatch", dispatched)?;
-        prop_assert_eq!(dispatched_anchor(&scores), anchor_bits);
-    }
-
-    /// The bit-accounting batches (`bit_len_batch`, `recip_batch`,
-    /// `ratio_batch`) match their single-value anchors bit for bit under
-    /// every tier.
-    #[test]
-    fn batches_bit_identical_across_tiers(
-        vals in collection::vec(any::<u64>(), 0..48),
-        ks in collection::vec(0usize..10_000, 0..48),
-        pairs in collection::vec((0usize..10_000, 1usize..10_000), 0..48),
-    ) {
-        let (nums, dens): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
-        let results = per_tier(|| {
-            let mut lens = vec![0u32; vals.len()];
-            bits::bit_len_batch(&vals, &mut lens);
-            let mut recips = vec![0.0f64; ks.len()];
-            ratio::recip_batch(&ks, &mut recips);
-            let mut ratios = vec![0.0f64; nums.len()];
-            ratio::ratio_batch(&nums, &dens, &mut ratios);
-            (
-                lens,
-                recips.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                ratios.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            )
-        });
-        assert_tiers_agree("batches", results.clone())?;
-
-        // Anchor against the single-value functions.
-        let (lens, recips, ratios) = &results[0];
-        for (i, &v) in vals.iter().enumerate() {
-            prop_assert_eq!(lens[i], bits::bit_len(v));
-        }
-        for (i, &k) in ks.iter().enumerate() {
-            prop_assert_eq!(recips[i], ratio::recip_or_zero(k).to_bits());
-        }
-        for (i, (&n, &d)) in nums.iter().zip(&dens).enumerate() {
-            prop_assert_eq!(ratios[i], ratio::ratio(n, d).to_bits());
-        }
-    }
-
-    /// The stateful incremental evaluator driven through a full monotone
-    /// seed schedule: slices are processed in increasing order, and within
-    /// each slice's window several seed bits are fixed in turn (mutating
-    /// only that slice's form — the contract `EdgeDpCache` relies on).
-    /// After **every** fix, the warm persistent cache must agree bitwise
-    /// with a cold cache and with the stateless dispatched evaluator.
-    #[test]
-    fn incremental_cache_matches_fresh_across_monotone_schedule(
+    fn cached_edge_shares_warm_matches_cold_across_monotone_schedule(
         b in 1usize..=6,
         s_free_bits in any::<u64>(),
         offs in any::<u64>(),
@@ -319,16 +266,9 @@ proptest! {
             b, s_free_bits, offs, offs >> 8, mask_seed_u, mask_seed_v, corr_bits,
         );
         let full = 1u64 << b;
-        let (tu, tv) = (ts % (full + 1), (ts >> 32) % (full + 1));
-        let inv = ratio::recip_or_zero;
-        let (k0_u, k1_u, k0_v, k1_v) = (
-            (kraw % 9) as usize,
-            ((kraw >> 8) % 9) as usize,
-            ((kraw >> 16) % 9) as usize,
-            ((kraw >> 24) % 9) as usize,
-        );
+        let (tu, tv) = (threshold(ts, full), threshold(ts >> 32, full));
+        let inv = |shift: u32| ratio::recip_or_zero((kraw >> shift) as usize % 9);
         let mut warm = EdgeDpCache::new();
-        let mut warm_marg = incremental::MarginalDpCache::new();
         for slice in 0..b {
             // A window of "m + 1 = 3" seed bits per slice.
             for step in 0..3usize {
@@ -337,32 +277,25 @@ proptest! {
                 let (u0, v0) = fix_forms(fu[slice], fv[slice], which, false);
                 let (u1, v1) = fix_forms(fu[slice], fv[slice], which, true);
 
-                let cached = incremental::edge_shares(
-                    &mut warm,
-                    &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
-                    &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
+                let shares = |cache: &mut EdgeDpCache| {
+                    digit_dp::edge_shares_cached(
+                        cache,
+                        &fu, [u0, u1], tu, inv(0), inv(8),
+                        &fv, [v0, v1], tv, inv(16), inv(24),
+                        slice,
+                    )
+                    .map(f64::to_bits)
+                };
+                let cached = shares(&mut warm);
+                let fresh = shares(&mut EdgeDpCache::new());
+                let want = reference::edge_shares(
+                    &fu, [u0, u1], tu, inv(0), inv(8),
+                    &fv, [v0, v1], tv, inv(16), inv(24),
                     slice,
-                ).map(f64::to_bits);
-                let mut cold = EdgeDpCache::new();
-                let fresh = incremental::edge_shares(
-                    &mut cold,
-                    &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
-                    &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
-                    slice,
-                ).map(f64::to_bits);
-                // Bit-identical under any tier, so no tier lock is needed.
-                let stateless = digit_dp::edge_shares(
-                    &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
-                    &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
-                    slice,
-                ).map(f64::to_bits);
+                )
+                .map(f64::to_bits);
                 prop_assert_eq!(cached, fresh, "warm vs cold at slice {} step {}", slice, step);
-                prop_assert_eq!(cached, stateless, "warm vs stateless at slice {} step {}", slice, step);
-
-                let marg = incremental::prob_lt_override(&mut warm_marg, &fu, u1, tu, slice)
-                    .to_bits();
-                let marg_ref = digit_dp::prob_lt_override(&fu, Some((slice, u1)), tu).to_bits();
-                prop_assert_eq!(marg, marg_ref, "marginal at slice {} step {}", slice, step);
+                prop_assert_eq!(cached, want, "warm vs reference at slice {} step {}", slice, step);
 
                 // Commit the fix: the chosen candidate becomes the slice's
                 // form — only `slice`'s position mutates, as in
@@ -373,12 +306,189 @@ proptest! {
             }
         }
     }
+
+    /// The batch ratio helpers equal their single-value anchors bitwise.
+    #[test]
+    fn ratio_batches_match_singles(
+        ks in collection::vec(0usize..10_000, 0..48),
+        pairs in collection::vec((0usize..10_000, 1usize..10_000), 0..48),
+    ) {
+        let (nums, dens): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
+        let mut recips = vec![0.0f64; ks.len()];
+        ratio::recip_batch(&ks, &mut recips);
+        for (r, &k) in recips.iter().zip(&ks) {
+            prop_assert_eq!(r.to_bits(), ratio::recip_or_zero(k).to_bits());
+        }
+        let mut ratios = vec![0.0f64; nums.len()];
+        ratio::ratio_batch(&nums, &dens, &mut ratios);
+        for (r, (&n, &d)) in ratios.iter().zip(nums.iter().zip(&dens)) {
+            prop_assert_eq!(r.to_bits(), ratio::ratio(n, d).to_bits());
+        }
+    }
 }
 
-/// One dispatched call under whatever tier is currently active — used to
-/// check the dispatcher agrees with the direct reference call outside the
-/// forced-tier window.
-fn dispatched_anchor(scores: &[f64]) -> (u64, usize) {
-    let (m, i) = argmin::argmin_f64(scores);
-    (m.to_bits(), i)
+/// Every interval whose four bounds come from `{0, 1, 2^(b-1), 2^b}`, on
+/// form pairs covering all five `PairDist` cases: each side hits the
+/// zero-corner shortcut (`0`), the marginal guards (`2^b`), and both at
+/// once, for every `b` the generator supports.
+#[test]
+fn joint_interval_edge_thresholds_match_reference() {
+    for b in 1usize..=6 {
+        let full = 1u64 << b;
+        let edges = [0, 1, full / 2, full];
+        for seed in 0..8u64 {
+            let mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let (fu, fv) = decode_forms(
+                b,
+                mix,
+                mix >> 7,
+                mix >> 13,
+                mix.rotate_left(17),
+                mix.rotate_left(29),
+                mix >> 3,
+            );
+            for code in 0..4usize.pow(4) {
+                let bounds = [0, 1, 2, 3].map(|k| edges[code / 4usize.pow(k) % 4]);
+                let (got, want) = interval_bits(&fu, &fv, bounds);
+                assert_eq!(got, want, "b={b} seed={seed} interval {bounds:?}");
+            }
+        }
+    }
+}
+
+/// The coin and edge-share entry points at every threshold pair from
+/// `{0, 1, 2^b - 1, 2^b}`, every override slice, on form pairs covering
+/// all five `PairDist` cases: the marginal guards and the empty-mass
+/// corners are always hit.
+#[test]
+fn coin_and_edge_entry_points_at_edge_thresholds_match_reference() {
+    for b in 1usize..=6 {
+        let full = 1u64 << b;
+        let edges = [0, 1, full - 1, full];
+        for seed in 0..6u64 {
+            let mix = seed.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let (fu, fv) = decode_forms(
+                b,
+                mix,
+                mix >> 11,
+                mix >> 19,
+                mix.rotate_left(23),
+                mix.rotate_left(37),
+                mix >> 5,
+            );
+            let (su, sv) = (PackedForms::from_forms(&fu), PackedForms::from_forms(&fv));
+            for &tu in &edges {
+                for &tv in &edges {
+                    assert_eq!(
+                        digit_dp::joint_coin_probs_packed(&su, tu, &sv, tv).map(f64::to_bits),
+                        reference::joint_coin_probs_override(&fu, None, tu, &fv, None, tv)
+                            .map(f64::to_bits),
+                        "b={b} seed={seed} t=({tu},{tv})"
+                    );
+                    let mut cache = EdgeDpCache::new();
+                    for slice in 0..b {
+                        let (u0, v0) = fix_forms(fu[slice], fv[slice], mix >> slice, false);
+                        let (u1, v1) = fix_forms(fu[slice], fv[slice], mix >> slice, true);
+                        let args = (0.25, 0.5, 0.125, 1.0);
+                        let got = digit_dp::edge_shares_cached(
+                            &mut cache,
+                            &fu,
+                            [u0, u1],
+                            tu,
+                            args.0,
+                            args.1,
+                            &fv,
+                            [v0, v1],
+                            tv,
+                            args.2,
+                            args.3,
+                            slice,
+                        );
+                        let want = reference::edge_shares(
+                            &fu,
+                            [u0, u1],
+                            tu,
+                            args.0,
+                            args.1,
+                            &fv,
+                            [v0, v1],
+                            tv,
+                            args.2,
+                            args.3,
+                            slice,
+                        );
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "b={b} seed={seed} t=({tu},{tv}) slice={slice}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// 64 free digits: every threshold `t < 2^64` is in range, but `1 << 64`
+/// does not fit a `u64`, so the guards cannot be evaluated.
+fn wide_forms() -> Vec<BitForm> {
+    (0..64)
+        .map(|i| BitForm {
+            offset: false,
+            mask: 1 << i,
+            s_free: true,
+        })
+        .collect()
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn prob_lt_override_rejects_64_digits() {
+    let _ = digit_dp::prob_lt_override(&wide_forms(), None, 5);
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn joint_coin_probs_override_rejects_64_digits() {
+    let f = wide_forms();
+    let _ = digit_dp::joint_coin_probs_override(&f, None, 5, &f, None, 7);
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn prob_joint_lt_override_rejects_64_digits() {
+    let f = wide_forms();
+    let _ = digit_dp::prob_joint_lt_override(&f, None, 5, &f, None, 7);
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn packed_forms_reject_64_digits() {
+    let _ = PackedForms::from_forms(&wide_forms());
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn edge_shares_cached_rejects_64_digits() {
+    let f = wide_forms();
+    let _ = digit_dp::edge_shares_cached(
+        &mut EdgeDpCache::new(),
+        &f,
+        [f[0]; 2],
+        5,
+        0.5,
+        0.5,
+        &f,
+        [f[0]; 2],
+        7,
+        0.5,
+        0.5,
+        0,
+    );
+}
+
+#[test]
+#[should_panic(expected = "at most 63 digits")]
+fn reference_rejects_64_digits() {
+    let _ = reference::prob_lt_override(&wide_forms(), None, 5);
 }

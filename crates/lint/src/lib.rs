@@ -1,8 +1,8 @@
 //! `dcl_lint` — the workspace's static-analysis tier (`DESIGN.md` §9).
 //!
 //! Every bit-identity claim this reproduction makes rests on source-level
-//! discipline that the compiler does not enforce: intrinsics stay confined
-//! to `dcl_kernels`, metered code never iterates a hash table, simulator
+//! discipline that the compiler does not enforce: no architecture
+//! intrinsics anywhere, metered code never iterates a hash table, simulator
 //! panics keep the wording the Budget-vs-Panic classifier in `dcl_runner`
 //! keys on, and so forth. This crate checks those contracts mechanically,
 //! in the style of rust-lang's `tidy`: **line/token-level** analysis over
@@ -12,9 +12,9 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `std-arch-confined` | `std::arch` / `core::arch` only inside `crates/kernels/` |
+//! | `std-arch-confined` | no `std::arch` / `core::arch` anywhere in the workspace |
 //! | `safety-comment` | every `unsafe` block/fn/impl is preceded by `// SAFETY:` |
-//! | `forbid-unsafe` | crate roots carry `#![forbid(unsafe_code)]`; the two unsafe crates (`dcl_par`, `dcl_kernels`) carry `#![deny(unsafe_op_in_unsafe_fn)]` instead |
+//! | `forbid-unsafe` | crate roots carry `#![forbid(unsafe_code)]`; the one unsafe crate (`dcl_par`) carries `#![deny(unsafe_op_in_unsafe_fn)]` instead |
 //! | `no-hash-iter` | no `HashMap`/`HashSet` in deterministic (simulator/driver) crates |
 //! | `no-wall-clock` | no `Instant`/`SystemTime` outside `dcl_bench`, the audited `dcl_sim::deadline` module, and the vendored criterion shim (which is not walked) |
 //! | `no-print` | no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code |
@@ -61,7 +61,7 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "std-arch-confined",
-        summary: "std::arch/core::arch intrinsics only inside crates/kernels/",
+        summary: "no std::arch/core::arch intrinsics anywhere in the workspace",
     },
     RuleInfo {
         name: "safety-comment",
@@ -69,7 +69,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "forbid-unsafe",
-        summary: "crate roots carry #![forbid(unsafe_code)] (dcl_par/dcl_kernels: \
+        summary: "crate roots carry #![forbid(unsafe_code)] (dcl_par: \
                   #![deny(unsafe_op_in_unsafe_fn)])",
     },
     RuleInfo {
@@ -126,7 +126,7 @@ impl fmt::Display for Diagnostic {
 
 /// Crates that are allowed to contain `unsafe` (and must instead carry
 /// `#![deny(unsafe_op_in_unsafe_fn)]` at their root).
-const UNSAFE_CRATES: &[&str] = &["par", "kernels"];
+const UNSAFE_CRATES: &[&str] = &["par"];
 
 /// Crates whose sources are metered / drive the deterministic pipeline:
 /// hash-table types and ambiguous panic wordings are banned here. `"."` is
@@ -142,8 +142,7 @@ const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["bench"];
 /// The single audited wall-clock module: `dcl_sim::deadline` wraps
 /// `Instant` behind the `Deadline` type that the transport and service
 /// tiers use for liveness timeouts. Confining the raw clock reads to this
-/// one reviewed file (the same move `std-arch-confined` makes for
-/// intrinsics) is what lets every other deterministic crate stay
+/// one reviewed file is what lets every other deterministic crate stay
 /// clock-free without per-line waivers.
 const WALL_CLOCK_MODULE: &str = "crates/sim/src/deadline.rs";
 
@@ -695,23 +694,21 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let determinism_crate = DETERMINISM_CRATES.contains(&ctx.krate.as_str());
     let wall_clock_exempt =
         WALL_CLOCK_EXEMPT_CRATES.contains(&ctx.krate.as_str()) || path == WALL_CLOCK_MODULE;
-    let kernels_file = path.starts_with("crates/kernels/");
 
     for (i, line) in model.lines.iter().enumerate() {
         let waived = |rule: &str| waivers.by_line[i].contains(&rule);
         let exempt_test = ctx.test_file || line.in_test;
 
-        // std-arch-confined — applies everywhere outside crates/kernels/,
-        // including tests (intrinsics in a test would still skew parity).
-        if !kernels_file
-            && (line.code.contains("std::arch") || line.code.contains("core::arch"))
+        // std-arch-confined — applies everywhere, including tests: every
+        // kernel has one safe, portable implementation.
+        if (line.code.contains("std::arch") || line.code.contains("core::arch"))
             && !waived("std-arch-confined")
         {
             raw.push(diag(
                 i,
                 "std-arch-confined",
-                "architecture intrinsics (`std::arch`/`core::arch`) are confined to \
-                 crates/kernels/ — add a kernel entry point instead"
+                "architecture intrinsics (`std::arch`/`core::arch`) are banned \
+                 workspace-wide — write the kernel as portable safe code"
                     .to_string(),
             ));
         }

@@ -17,26 +17,42 @@ fn rules(diags: &[Diagnostic]) -> Vec<&str> {
 }
 
 #[test]
-fn std_arch_confined_flags_intrinsics_outside_kernels() {
+fn std_arch_confined_flags_intrinsics_everywhere() {
     let bad = include_str!("fixtures/std_arch_bad.rs");
-    let diags = lint("crates/sim/src/fixture.rs", bad);
-    assert_eq!(rules(&diags), ["std-arch-confined"], "{diags:?}");
-    assert_eq!(diags[0].line, 4);
+    // No crate is exempt: the kernels and the unsafe pool included.
+    for path in [
+        "crates/sim/src/fixture.rs",
+        "crates/kernels/src/fixture.rs",
+        "crates/par/src/fixture.rs",
+        "crates/kernels/tests/fixture.rs",
+    ] {
+        let diags = lint(path, bad);
+        assert_eq!(rules(&diags), ["std-arch-confined"], "{path}: {diags:?}");
+        assert_eq!(diags[0].line, 4);
+    }
 }
 
 #[test]
-fn std_arch_confined_allows_kernels_and_clean_code() {
-    let bad = include_str!("fixtures/std_arch_bad.rs");
-    // The same source is fine when it lives inside crates/kernels/.
-    assert!(lint("crates/kernels/src/fixture.rs", bad).is_empty());
+fn std_arch_confined_flags_core_arch_unless_waived() {
+    let bad = "pub use core::arch::x86_64::_mm_add_pd;\n";
+    let diags = lint("crates/kernels/src/fixture.rs", bad);
+    assert_eq!(rules(&diags), ["std-arch-confined"], "{diags:?}");
+    let waived = "// dcl-lint: allow(std-arch-confined) — fixture for the waiver path\n\
+                  pub use core::arch::x86_64::_mm_add_pd;\n";
+    assert!(lint("crates/kernels/src/fixture.rs", waived).is_empty());
+}
+
+#[test]
+fn std_arch_confined_accepts_clean_code() {
     let ok = include_str!("fixtures/std_arch_ok.rs");
     assert!(lint("crates/sim/src/fixture.rs", ok).is_empty());
+    assert!(lint("crates/kernels/src/fixture.rs", ok).is_empty());
 }
 
 #[test]
 fn safety_comment_flags_bare_unsafe() {
     let bad = include_str!("fixtures/safety_comment_bad.rs");
-    let diags = lint("crates/kernels/src/fixture.rs", bad);
+    let diags = lint("crates/par/src/fixture.rs", bad);
     assert_eq!(rules(&diags), ["safety-comment"], "{diags:?}");
     assert_eq!(diags[0].line, 4);
 }
@@ -44,7 +60,7 @@ fn safety_comment_flags_bare_unsafe() {
 #[test]
 fn safety_comment_accepts_preceding_comment() {
     let ok = include_str!("fixtures/safety_comment_ok.rs");
-    assert!(lint("crates/kernels/src/fixture.rs", ok).is_empty());
+    assert!(lint("crates/par/src/fixture.rs", ok).is_empty());
 }
 
 #[test]
@@ -59,15 +75,18 @@ fn forbid_unsafe_requires_root_attribute() {
 
 #[test]
 fn forbid_unsafe_unsafe_crates_need_deny_unsafe_op() {
-    // A plain #![forbid(unsafe_code)] root is wrong for dcl_par/dcl_kernels:
-    // they need #![deny(unsafe_op_in_unsafe_fn)].
+    // A plain #![forbid(unsafe_code)] root is wrong for dcl_par: it needs
+    // #![deny(unsafe_op_in_unsafe_fn)].
     let forbid_root = include_str!("fixtures/forbid_unsafe_ok.rs");
     let diags = lint("crates/par/src/lib.rs", forbid_root);
     assert_eq!(rules(&diags), ["forbid-unsafe"], "{diags:?}");
 
     let deny_root = include_str!("fixtures/forbid_unsafe_unsafe_crate_ok.rs");
     assert!(lint("crates/par/src/lib.rs", deny_root).is_empty());
-    assert!(lint("crates/kernels/src/lib.rs", deny_root).is_empty());
+    // Every other crate, dcl_kernels included, must forbid unsafe code.
+    let diags = lint("crates/kernels/src/lib.rs", deny_root);
+    assert_eq!(rules(&diags), ["forbid-unsafe"], "{diags:?}");
+    assert!(lint("crates/kernels/src/lib.rs", forbid_root).is_empty());
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Clean root for an unsafe-permitted crate (dcl_par / dcl_kernels).
+//! Clean root for an unsafe-permitted crate (dcl_par).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

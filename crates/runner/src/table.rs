@@ -76,16 +76,6 @@ pub struct MachineProfile {
     pub os: &'static str,
     /// `std::env::consts::ARCH`.
     pub arch: &'static str,
-    /// The kernel dispatch decision the numbers were recorded under
-    /// (`dcl_kernels::dispatch_label()`): a forced tier's name under a
-    /// `DCL_KERNEL_TIER`/`set_active_tier` override, else `"per-family"`
-    /// (each kernel family at its measured-best default) — so a baseline
-    /// produced with `DCL_KERNEL_TIER=reference` is never diffed against
-    /// a default run unnoticed.
-    pub kernel_tier: &'static str,
-    /// The `target_feature` set the SIMD tier can use on the recording
-    /// machine (`dcl_kernels::simd_features()`).
-    pub target_features: &'static str,
 }
 
 impl MachineProfile {
@@ -97,8 +87,6 @@ impl MachineProfile {
                 .unwrap_or(1),
             os: std::env::consts::OS,
             arch: std::env::consts::ARCH,
-            kernel_tier: dcl_kernels::dispatch_label(),
-            target_features: dcl_kernels::simd_features(),
         }
     }
 
@@ -106,8 +94,8 @@ impl MachineProfile {
     /// spell it.
     pub fn json_object(&self) -> String {
         format!(
-            "{{ \"hardware_threads\": {}, \"os\": \"{}\", \"arch\": \"{}\", \"kernel_tier\": \"{}\", \"target_features\": \"{}\" }}",
-            self.hardware_threads, self.os, self.arch, self.kernel_tier, self.target_features
+            "{{ \"hardware_threads\": {}, \"os\": \"{}\", \"arch\": \"{}\" }}",
+            self.hardware_threads, self.os, self.arch
         )
     }
 }
@@ -191,6 +179,15 @@ mod tests {
     }
 
     #[test]
+    fn machine_profile_records_only_the_host() {
+        let j = MachineProfile::current().json_object();
+        for key in ["hardware_threads", "os", "arch"] {
+            assert!(j.contains(&format!("\"{key}\": ")), "{j}");
+        }
+        assert_eq!(j.matches(": ").count(), 3, "{j}");
+    }
+
+    #[test]
     fn baseline_json_matches_the_committed_layout() {
         let mut t = Table::new("E9 (demo): a \"quoted\" title", &["x", "y"]);
         t.row(vec!["1".into(), "true".into()]);
@@ -198,13 +195,11 @@ mod tests {
             hardware_threads: 1,
             os: "linux",
             arch: "x86_64",
-            kernel_tier: "per-family",
-            target_features: "sse2+avx2",
         };
         let j = baseline_json("bench_experiments/v1", &profile, 12.34, &[(t, 5.67)]);
         assert!(j.starts_with("{\n  \"schema\": \"bench_experiments/v1\",\n"));
         assert!(j.contains(
-            "  \"machine\": { \"hardware_threads\": 1, \"os\": \"linux\", \"arch\": \"x86_64\", \"kernel_tier\": \"per-family\", \"target_features\": \"sse2+avx2\" },\n"
+            "  \"machine\": { \"hardware_threads\": 1, \"os\": \"linux\", \"arch\": \"x86_64\" },\n"
         ));
         assert!(j.contains("  \"total_ms\": 12.3,\n"));
         assert!(j.contains("      \"id\": \"E9\",\n"));

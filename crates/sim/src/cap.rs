@@ -65,8 +65,8 @@ impl BandwidthCap {
 
     /// Number of cap-sized physical messages a `bits`-bit logical payload
     /// occupies (at least 1 — even zero-width payloads take a message).
-    /// The arithmetic lives in [`dcl_kernels::bits::fragments`] (exact
-    /// integer formula, shared by every kernel tier).
+    /// The arithmetic lives in [`dcl_kernels::bits::fragments`] (an exact
+    /// integer formula).
     #[must_use]
     pub const fn fragments(self, bits: u32) -> u32 {
         dcl_kernels::bits::fragments(self.bits, bits)

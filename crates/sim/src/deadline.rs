@@ -7,8 +7,7 @@
 //! as a typed error instead of hanging — and those timeouts are pure fault
 //! detection: they never feed metered state, influence a coloring, or appear
 //! in a report row. This module is where that one legitimate wall-clock use
-//! lives, so the lint rule can exempt exactly this file (the same
-//! module-confinement pattern as `std::arch` in `crates/kernels/`) and every
+//! lives, so the lint rule can exempt exactly this file and every
 //! socket consumer — [`crate::transport::TcpTransport`], the `dcl_service`
 //! server and client — shares one audited implementation instead of carrying
 //! per-site waivers.

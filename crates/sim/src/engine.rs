@@ -462,28 +462,35 @@ where
 
 /// Deterministic parallel argmin: evaluates `score(i)` for `i in 0..count`
 /// (on `pool` when given, inline otherwise) and returns `(best_score,
-/// best_index)` under strict `<` — the lowest index wins ties, exactly like
-/// the sequential loop `for i { if score < best }`. Each score is computed
-/// by a single worker with the same float-operation order as the sequential
-/// evaluation, and the reduction scans indices in order, so the winner is
-/// bit-identical across backends.
+/// best_index)` of the first-minimum scan `for i { if score < best }` from
+/// the seed `(f64::INFINITY, 0)`: the lowest index wins ties, `NaN` never
+/// wins, and `count == 0` (or all-`NaN` scores) returns
+/// `(f64::INFINITY, 0)`. Each score is computed by a single worker with the
+/// same float-operation order as the sequential evaluation, and the scan
+/// visits indices in order, so the winner is bit-identical across
+/// backends (pinned by `tests/argmin_contract.rs`).
 ///
-/// Returns `(f64::INFINITY, 0)` when `count == 0`.
-///
-/// The reduction itself is `dcl_kernels::argmin::argmin_f64` — an
-/// arch-dispatched kernel whose every tier is proven equal to the
-/// first-minimum scan (see the contract tests in `tests/argmin_contract.rs`
-/// and in `dcl_kernels`), so the winner is also identical across
-/// `DCL_KERNEL_TIER` settings.
+/// The scan itself is cheap: the drivers fold at most `2^λ` candidate
+/// scores, and each score costs far more than its comparison.
 pub fn argmin_f64<F>(pool: Option<&Pool>, count: usize, score: F) -> (f64, usize)
 where
     F: Fn(usize) -> f64 + Sync,
 {
-    let scores = match pool {
-        Some(pool) if count > 1 => par_map_jobs(pool, count, &score),
-        _ => (0..count).map(score).collect(),
-    };
-    dcl_kernels::argmin::argmin_f64(&scores)
+    match pool {
+        Some(pool) if count > 1 => first_min(par_map_jobs(pool, count, &score)),
+        _ => first_min((0..count).map(score)),
+    }
+}
+
+/// The first-minimum scan under strict `<` from `(f64::INFINITY, 0)`.
+fn first_min(scores: impl IntoIterator<Item = f64>) -> (f64, usize) {
+    let mut best = (f64::INFINITY, 0usize);
+    for (i, s) in scores.into_iter().enumerate() {
+        if s < best.0 {
+            best = (s, i);
+        }
+    }
+    best
 }
 
 #[cfg(test)]

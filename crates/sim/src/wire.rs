@@ -37,8 +37,7 @@ pub trait Wire {
 }
 
 /// Bit length of a `u64` value (at least 1, so that the value 0 still
-/// occupies a bit on the wire). Re-exported from `dcl_kernels::bits`, where
-/// the batch variant and the SIMD tier live.
+/// occupies a bit on the wire). Re-exported from `dcl_kernels::bits`.
 pub use dcl_kernels::bits::bit_len;
 
 /// Appends the LEB128 varint encoding of `v` (1–10 bytes) to `out`.

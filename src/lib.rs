@@ -8,10 +8,9 @@
 //! on a single crate:
 //!
 //! - [`graphs`] — graph representation, generators, metrics, validators.
-//! - [`kernels`] — the arch-dispatched numeric kernels behind the hot
-//!   loops (Lemma 2.6 digit DP, argmin, bit accounting): reference /
-//!   scalar-SoA / SIMD tiers, proven bit-identical, selectable with the
-//!   `DCL_KERNEL_TIER` environment variable.
+//! - [`kernels`] — the numeric kernels behind the hot loops (the Lemma 2.6
+//!   digit DP and bit accounting): one safe implementation per entry
+//!   point, proven bit-identical to a reference oracle.
 //! - [`sim`] — the shared simulator runtime: wire accounting, bandwidth
 //!   caps ([`sim::BandwidthCap`]), unified metrics, topology policies and
 //!   the backend-aware round engine every model runs on.
