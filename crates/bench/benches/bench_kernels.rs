@@ -1,16 +1,19 @@
 //! Micro-benchmarks of the kernels: the Lemma 2.6 digit DP entry points
 //! and the candidate argmin, on the same workloads the committed
-//! `BENCH_bench.json` records. The `edge_shares` row is the warm-cache
-//! `edge_shares_cached` path — the steady state of the Lemma 2.6 drivers.
+//! `BENCH_bench.json` records. The `edge_shares` row runs whole slice
+//! windows of `edge_shares_cached` from a fresh cache
+//! ([`EdgeShareWindow`]) and reports the time per call.
 //!
 //! The digit-DP fixture matches `bench_derand`, so
 //! `kernels/digit_dp/joint_coin_probs` reads against the `joint_coin_probs`
 //! row there.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dcl_bench::edge_window::EdgeShareWindow;
 use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::SliceFamily;
-use dcl_kernels::digit_dp::{self, EdgeDpCache};
+use dcl_kernels::digit_dp;
+use std::time::Instant;
 
 fn kernels(c: &mut Criterion) {
     let fam = SliceFamily::new(10, 14);
@@ -21,14 +24,6 @@ fn kernels(c: &mut Criterion) {
     let (x, y) = (0b1011001101u64, 0b0111010010u64);
     let fx = fam.forms_for(&seed, x);
     let fy = fam.forms_for(&seed, y);
-    let over_u = [
-        fam.form_with_fix(fx[3], x, 35, false),
-        fam.form_with_fix(fx[3], x, 35, true),
-    ];
-    let over_v = [
-        fam.form_with_fix(fy[3], y, 35, false),
-        fam.form_with_fix(fy[3], y, 35, true),
-    ];
     let scores: Vec<f64> = (0..4096u64)
         .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
         .collect();
@@ -36,12 +31,14 @@ fn kernels(c: &mut Criterion) {
     c.bench_function("kernels/digit_dp/joint_coin_probs", |b| {
         b.iter(|| digit_dp::joint_coin_probs_override(&fx, None, 9000, &fy, None, 4000))
     });
-    let mut cache = EdgeDpCache::new();
+    let mut window = EdgeShareWindow::new();
     c.bench_function("kernels/digit_dp/edge_shares", |b| {
-        b.iter(|| {
-            digit_dp::edge_shares_cached(
-                &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-            )
+        b.iter_custom(|windows| {
+            let t = Instant::now();
+            for _ in 0..windows {
+                black_box(window.run());
+            }
+            t.elapsed() / EdgeShareWindow::EVALS
         })
     });
     c.bench_function("kernels/argmin/4096", |b| {

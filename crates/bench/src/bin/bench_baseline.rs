@@ -286,14 +286,14 @@ fn main() {
 
     // --- bench_kernels ------------------------------------------------------
     // Each kernel timed once. The digit-DP workload matches the
-    // bench_derand rows above. The edge_shares row is the warm-cache path
-    // (`edge_shares_cached` with a persistent `EdgeDpCache`) — the steady
-    // state of the Lemma 2.6 drivers, which evaluate each edge (m+1)×2
-    // times per slice against one cache.
+    // bench_derand rows above. The edge_shares row times whole slice
+    // windows of `edge_shares_cached` from a fresh cache, as the Lemma 2.6
+    // driver runs them per edge, and records the time per call.
     {
+        use dcl_bench::edge_window::EdgeShareWindow;
         use dcl_derand::seed::PartialSeed;
         use dcl_derand::slice::SliceFamily;
-        use dcl_kernels::digit_dp::{self, EdgeDpCache};
+        use dcl_kernels::digit_dp;
         let fam = SliceFamily::new(10, 14);
         let mut seed = PartialSeed::new(fam.seed_len());
         for i in (0..fam.seed_len()).step_by(2) {
@@ -302,16 +302,6 @@ fn main() {
         let (x, y) = (0b1011001101u64, 0b0111010010u64);
         let fx = fam.forms_for(&seed, x);
         let fy = fam.forms_for(&seed, y);
-        // Candidate forms for free seed bit 35 (slice 3), as the Lemma 2.6
-        // driver builds them for edge_shares.
-        let over_u = [
-            fam.form_with_fix(fx[3], x, 35, false),
-            fam.form_with_fix(fx[3], x, 35, true),
-        ];
-        let over_v = [
-            fam.form_with_fix(fy[3], y, 35, false),
-            fam.form_with_fix(fy[3], y, 35, true),
-        ];
         let scores: Vec<f64> = (0..4096u64)
             .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
             .collect();
@@ -320,16 +310,12 @@ fn main() {
             "kernels/digit_dp/joint_coin_probs",
             || digit_dp::joint_coin_probs_override(&fx, None, 9000, &fy, None, 4000),
         ));
-        let mut cache = EdgeDpCache::new();
-        rows.push(time_bench(
-            "bench_kernels",
-            "kernels/digit_dp/edge_shares",
-            || {
-                digit_dp::edge_shares_cached(
-                    &mut cache, &fx, over_u, 9000, 0.2, 0.25, &fy, over_v, 4000, 0.125, 0.5, 3,
-                )
-            },
-        ));
+        let mut window = EdgeShareWindow::new();
+        let mut row = time_bench("bench_kernels", "kernels/digit_dp/edge_shares", || {
+            window.run()
+        });
+        row.ns_per_iter /= f64::from(EdgeShareWindow::EVALS);
+        rows.push(row);
         rows.push(time_bench("bench_kernels", "kernels/argmin/4096", || {
             dcl_sim::argmin_f64(None, scores.len(), |i| scores[i])
         }));

@@ -66,6 +66,8 @@ use rand::SeedableRng;
 
 pub use dcl_runner::Table;
 
+pub mod edge_window;
+
 /// Standard experiment instance: G(n,p) with (Δ+1) lists.
 pub fn gnp_instance(n: usize, p: f64, seed: u64) -> ListInstance {
     ListInstance::degree_plus_one(generators::gnp(n, p, seed))

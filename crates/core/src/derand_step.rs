@@ -201,11 +201,12 @@ pub fn derandomized_phase(
         .collect();
     let edges = state.conflict_edges();
     // Per-edge scratch allocated once per phase. The caches make each
-    // seed-bit evaluation replay only the current slice's digits (the
-    // tentpole speedup); the share slots give the parallel path a flat
-    // output buffer. `map_chunks_with` hands each worker exclusive access
-    // to its chunk of scratch at the same deterministic boundaries as
-    // `map_chunks`, so results stay independent of the worker count.
+    // seed-bit evaluation replay only the current slice's digits, and only
+    // once per digit-pmf class of the candidate forms within a slice
+    // window; the share slots give the parallel path a flat output buffer.
+    // `map_chunks_with` hands each worker exclusive access to its chunk of
+    // scratch at the same deterministic boundaries as `map_chunks`, so
+    // results stay independent of the worker count.
     let mut scratch: Vec<EdgeScratch> = edges
         .iter()
         .map(|_| EdgeScratch {

@@ -1,9 +1,9 @@
 //! The Lemma 2.6 pair-probability digit DP and its per-edge aggregation.
 //!
-//! This is ~90% of Theorem 1.1 runtime: every conflict edge × every seed
-//! bit × both candidate values runs the exact `O(b)` digit DP over the
-//! joint distribution of two hash outputs. Each public function here has
-//! one implementation:
+//! This is most of Theorem 1.1's runtime: every conflict edge × every seed
+//! bit × both candidate values needs the exact `O(b)` digit DP over the
+//! joint distribution of two hash outputs (see `DESIGN.md` §8 for the
+//! measured share). Each public function here has one implementation:
 //!
 //! - the stateless entry points (`*_override`, `*_packed`) run the SoA
 //!   evaluator in `scalar`: the forms packed into [`PackedForms`]
@@ -12,8 +12,10 @@
 //!   replaying the reference's float operations in the reference's order;
 //! - [`edge_shares_cached`] runs the prefix-cached evaluator in
 //!   [`incremental`]: the DP state over the leading digits `b-1..s+1` is
-//!   invariant for the whole window of slice `s`, so each evaluation
-//!   replays only the overridden digit plus the trailing `s` digits;
+//!   invariant for the whole window of slice `s`, so an evaluation
+//!   replays only the overridden digit plus the trailing `s` digits, and
+//!   a finished result is reused for every later evaluation of the window
+//!   whose override falls in the same digit-pmf class;
 //! - [`joint_interval_packed`] walks the digits once, stepping every CDF
 //!   corner that still needs the DP through the same per-digit pmf.
 //!
@@ -356,13 +358,16 @@ pub fn joint_coin_probs_packed(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y
 /// of a phase and pass it here per seed bit; the cache skips the invariant
 /// leading digits (see [`incremental`]).
 ///
-/// Contract (checked in debug builds): the caller fixes seed bits in
-/// monotone slice order and reuses one cache per (edge, thresholds) pair;
-/// forms at positions `> slice` must not change while `slice` is current.
+/// Contract (checked in debug builds): the caller owns one cache per
+/// conflict edge per phase and fixes seed bits in monotone slice order;
+/// forms at positions `≠ slice` must not change while the cache key
+/// `(width, slice, thresholds)` is unchanged. A release build trusts the
+/// contract (see [`incremental`]).
 ///
 /// # Panics
 ///
-/// Panics when the inputs have 64 or more digits.
+/// Panics when the inputs have 64 or more digits, or when `slice` is not
+/// below the digit count.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn edge_shares_cached(

@@ -1,5 +1,6 @@
 //! The prefix-cached evaluator behind `edge_shares_cached`: per-edge DP
-//! prefix states cached across the seed schedule.
+//! prefix states and finished results cached across one slice window of
+//! the seed schedule.
 //!
 //! # Why a prefix is cacheable
 //!
@@ -31,42 +32,91 @@
 //! (`DigitPmf` for the joint DP, `marg_step` for the marginals), fed
 //! from [`BitForm`]s directly.
 //!
+//! # Why finished results are memoizable
+//!
+//! The digits *below* `s` are frozen too: their seed bits were fixed in
+//! earlier windows. So inside one window a finished walk (the override
+//! digit `s` plus the trailing digits) depends on the override forms only
+//! through the digit pmf they induce — for the joint walk the
+//! `PairDist` class of the override pair, for a marginal walk the override
+//! form's `prob_one` ∈ {0, ½, 1}. Two evaluations of the same class run
+//! the same float operations on the same inputs, so the cache keeps the
+//! first result and returns it for the rest of the window, bit for bit.
+//!
+//! Only the classes that repeat inside a window are memoized: the joint
+//! `Independent`, `Correlated(false)` and `Correlated(true)` classes, and
+//! each endpoint's ½ marginal — five `f64`s and a valid-bit byte. The
+//! override forms are known only when the window's last seed bit (the
+//! shared `s` bit, which the layout puts after the `m` r-bits) is under
+//! evaluation, and its two candidates give different known classes, so
+//! those never repeat and are finished directly.
+//!
+//! # The validity key
+//!
+//! Prefix states and memo are keyed by `(width, slice, thresholds)`: a
+//! call with a different digit count, slice or threshold pair rebuilds
+//! the prefix states and clears the memo. The frozen forms themselves are
+//! *not* part of the key. The Lemma 2.6 drivers own one cache per
+//! conflict edge per phase and fix seed bits in index order, which keeps
+//! every position other than `slice` unchanged while the key matches.
+//! Debug builds check this with a fingerprint of every position except
+//! `slice`; a release build trusts it, so a cache shared between edges,
+//! or reused after forms off `slice` changed under an unchanged key,
+//! returns stale probabilities.
+//!
 //! # Cost
 //!
-//! A fresh evaluation is `3` DPs × `b` digits per candidate; the cached
-//! replay is `3` DPs × `(s+1)` digits plus an `O(b−s)` rebuild once per
-//! (edge, slice). Averaged over the schedule (slice `s` hosts `m+1` seed
-//! bits), the digit work roughly halves, and the per-call
-//! `PackedForms` pack of the stateless evaluator disappears entirely.
+//! A fresh evaluation is `3` DPs × `b` digits per candidate. Per
+//! (edge, slice) the cache pays an `O(b−s)` prefix rebuild, and then each
+//! memoized class walks its `s+1` digits once: a window of `2(m+1)`
+//! evaluations runs about one joint walk per distinct joint class (one or
+//! two in practice), one ½-marginal walk per endpoint, and the two
+//! known-class evaluations of the `s` bit. Every other evaluation is a
+//! class test and a memo read, so the per-evaluation cost no longer grows
+//! with `s`.
 
 use super::{assert_width, marg_step, DigitPmf};
 use crate::forms::BitForm;
 
-/// Cached DP prefix states of one conflict edge: the joint and the two
-/// marginal DP states after the digits above `slice` (all frozen while the
-/// schedule is inside `slice`'s window). Create one per conflict edge per
-/// phase; `edge_shares_cached` and [`joint_coin_probs_override`]
-/// revalidate lazily on the first call of each slice (or whenever the
-/// thresholds change).
+/// Memo slot of the joint `Independent` class.
+const JOINT_INDEPENDENT: usize = 0;
+/// Memo slots of the joint `Correlated(d)` classes (`+ d`).
+const JOINT_CORRELATED: usize = 1;
+/// Memo slots of the ½ marginals (`+ 0` for `u`, `+ 1` for `v`).
+const MARG_HALF: usize = 3;
+
+/// Cached DP states of one conflict edge for the current slice window:
+/// the joint and the two marginal DP states after the digits above
+/// `slice`, plus the finished results of the classes that repeat inside
+/// the window (see the [module docs](self)). Create one per conflict edge
+/// per phase; `edge_shares_cached` and [`joint_coin_probs_override`]
+/// revalidate lazily whenever the key `(width, slice, thresholds)`
+/// changes.
 #[derive(Debug, Clone)]
 pub struct EdgeDpCache {
-    /// Slice the prefix states were built for; `usize::MAX` = none.
-    slice: usize,
-    /// Thresholds the states were built for (part of the validity key, so
-    /// a cache reused across phases self-corrects).
+    /// Slice the states were built for; `u8::MAX` = none. Slices and
+    /// widths are below 64 (`assert_width`), so a byte holds both.
+    slice: u8,
+    /// Digit count `b` the states were built for.
+    digits: u8,
+    /// Bit `k` set iff `memo[k]` holds a finished result for this window.
+    memo_valid: u8,
+    /// Thresholds the states were built for.
     t_u: u64,
     t_v: u64,
     /// Joint state `[ee, el, le, ll]` after digits `b-1 ..= slice+1`.
     joint: [f64; 4],
-    /// Marginal state `[p_eq, p_lt]` of input `u` after the same digits.
-    marg_u: [f64; 2],
-    /// Marginal state of input `v`.
-    marg_v: [f64; 2],
-    /// Debug-only fingerprint of the frozen suffix forms: the monotone
-    /// schedule contract says they must not change while `slice` is
-    /// current.
+    /// Marginal states `[p_eq, p_lt]` of inputs `u` and `v` after the
+    /// same digits.
+    marg: [[f64; 2]; 2],
+    /// Finished results: joint `Independent`, joint `Correlated(false)`,
+    /// joint `Correlated(true)`, `u`'s ½ marginal, `v`'s ½ marginal.
+    memo: [f64; 5],
+    /// Debug-only fingerprint of every form except position `slice`: the
+    /// monotone schedule contract says they must not change while the key
+    /// is current.
     #[cfg(debug_assertions)]
-    suffix_fp: u64,
+    frozen_fp: u64,
 }
 
 impl EdgeDpCache {
@@ -74,14 +124,16 @@ impl EdgeDpCache {
     #[must_use]
     pub fn new() -> Self {
         EdgeDpCache {
-            slice: usize::MAX,
+            slice: u8::MAX,
+            digits: 0,
+            memo_valid: 0,
             t_u: 0,
             t_v: 0,
             joint: [0.0; 4],
-            marg_u: [0.0; 2],
-            marg_v: [0.0; 2],
+            marg: [[0.0; 2]; 2],
+            memo: [0.0; 5],
             #[cfg(debug_assertions)]
-            suffix_fp: 0,
+            frozen_fp: 0,
         }
     }
 
@@ -93,27 +145,89 @@ impl EdgeDpCache {
         t_v: u64,
         slice: usize,
     ) {
-        if self.slice == slice && self.t_u == t_u && self.t_v == t_v {
+        let b = forms_u.len();
+        // Both below 64: `assert_width` and `slice < b` ran first.
+        let (slice_key, digits_key) = (slice as u8, b as u8);
+        if self.slice == slice_key
+            && self.digits == digits_key
+            && self.t_u == t_u
+            && self.t_v == t_v
+        {
             #[cfg(debug_assertions)]
             debug_assert_eq!(
-                self.suffix_fp,
-                suffix_fingerprint(forms_u, forms_v, slice),
-                "forms above slice {slice} changed while the slice was current — \
+                self.frozen_fp,
+                frozen_fingerprint(forms_u, forms_v, slice),
+                "forms off slice {slice} changed while the slice was current — \
                  the caller broke the monotone seed-schedule contract"
             );
             return;
         }
-        let b = forms_u.len();
-        self.marg_u = marg_prefix(forms_u, t_u, slice, b);
-        self.marg_v = marg_prefix(forms_v, t_v, slice, b);
+        self.marg = [
+            marg_prefix(forms_u, t_u, slice, b),
+            marg_prefix(forms_v, t_v, slice, b),
+        ];
         self.joint = joint_prefix(forms_u, t_u, forms_v, t_v, slice, b);
-        self.slice = slice;
+        self.memo_valid = 0;
+        self.slice = slice_key;
+        self.digits = digits_key;
         self.t_u = t_u;
         self.t_v = t_v;
         #[cfg(debug_assertions)]
         {
-            self.suffix_fp = suffix_fingerprint(forms_u, forms_v, slice);
+            self.frozen_fp = frozen_fingerprint(forms_u, forms_v, slice);
         }
+    }
+
+    /// `finish()`, computed once per window for memo slot `slot`.
+    #[inline]
+    fn memoized(&mut self, slot: usize, finish: impl FnOnce() -> f64) -> f64 {
+        let bit = 1u8 << slot;
+        if self.memo_valid & bit == 0 {
+            self.memo[slot] = finish();
+            self.memo_valid |= bit;
+        }
+        self.memo[slot]
+    }
+
+    /// Finished marginal of endpoint `side` (0 = `u`, 1 = `v`) with `over`
+    /// at `slice`; the ½ class is memoized.
+    #[inline]
+    fn marg(&mut self, side: usize, forms: &[BitForm], over: BitForm, t: u64, slice: usize) -> f64 {
+        let st = self.marg[side];
+        let finish = || marg_finish(st, forms, over, t, slice);
+        if over.is_known() {
+            finish()
+        } else {
+            self.memoized(MARG_HALF + side, finish)
+        }
+    }
+
+    /// Finished joint walk with `over_u`/`over_v` at `slice`; the
+    /// `Independent` and `Correlated(d)` classes are memoized. The class
+    /// split is `DigitPmf::of_forms`'s.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn joint(
+        &mut self,
+        forms_u: &[BitForm],
+        over_u: BitForm,
+        t_u: u64,
+        forms_v: &[BitForm],
+        over_v: BitForm,
+        t_v: u64,
+        slice: usize,
+    ) -> f64 {
+        let st = self.joint;
+        let finish = || joint_finish(st, forms_u, over_u, t_u, forms_v, over_v, t_v, slice);
+        if over_u.is_known() || over_v.is_known() {
+            return finish();
+        }
+        let slot = if over_u.mask == over_v.mask {
+            JOINT_CORRELATED + usize::from(over_u.offset ^ over_v.offset)
+        } else {
+            JOINT_INDEPENDENT
+        };
+        self.memoized(slot, finish)
     }
 }
 
@@ -123,18 +237,20 @@ impl Default for EdgeDpCache {
     }
 }
 
+/// Fingerprint of every form of both inputs except position `slice`.
 #[cfg(debug_assertions)]
-fn suffix_fingerprint(forms_u: &[BitForm], forms_v: &[BitForm], slice: usize) -> u64 {
+fn frozen_fingerprint(forms_u: &[BitForm], forms_v: &[BitForm], slice: usize) -> u64 {
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |f: &BitForm| {
         fp = (fp ^ f.mask ^ (u64::from(f.offset) << 1) ^ u64::from(f.s_free))
             .wrapping_mul(0x0000_0100_0000_01b3);
     };
-    for f in &forms_u[slice + 1..] {
-        mix(f);
-    }
-    for f in &forms_v[slice + 1..] {
-        mix(f);
+    for forms in [forms_u, forms_v] {
+        for (i, f) in forms.iter().enumerate() {
+            if i != slice {
+                mix(f);
+            }
+        }
     }
     fp
 }
@@ -202,7 +318,8 @@ fn joint_finish(
 ///
 /// # Panics
 ///
-/// Panics when the inputs have 64 or more digits.
+/// Panics when the inputs have 64 or more digits, or when `slice` is not
+/// below the digit count.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn joint_coin_probs_override(
@@ -218,36 +335,27 @@ pub fn joint_coin_probs_override(
     let b = forms_u.len();
     assert_width(b);
     debug_assert_eq!(b, forms_v.len(), "inputs must share the output width");
-    debug_assert!(slice < b, "slice out of range");
+    assert!(slice < b, "slice {slice} out of range for {b} digits");
     let full = 1u64 << b;
     cache.ensure(forms_u, t_u, forms_v, t_v, slice);
     let p11 = if t_u >= full && t_v >= full {
         1.0
     } else if t_u >= full {
-        marg_finish(cache.marg_v, forms_v, over_v, t_v, slice)
+        cache.marg(1, forms_v, over_v, t_v, slice)
     } else if t_v >= full {
-        marg_finish(cache.marg_u, forms_u, over_u, t_u, slice)
+        cache.marg(0, forms_u, over_u, t_u, slice)
     } else {
-        joint_finish(
-            cache.joint,
-            forms_u,
-            over_u,
-            t_u,
-            forms_v,
-            over_v,
-            t_v,
-            slice,
-        )
+        cache.joint(forms_u, over_u, t_u, forms_v, over_v, t_v, slice)
     };
     let px = if t_u >= full {
         1.0
     } else {
-        marg_finish(cache.marg_u, forms_u, over_u, t_u, slice)
+        cache.marg(0, forms_u, over_u, t_u, slice)
     };
     let py = if t_v >= full {
         1.0
     } else {
-        marg_finish(cache.marg_v, forms_v, over_v, t_v, slice)
+        cache.marg(1, forms_v, over_v, t_v, slice)
     };
     let p10 = (px - p11).max(0.0);
     let p01 = (py - p11).max(0.0);

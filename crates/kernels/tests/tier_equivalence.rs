@@ -246,8 +246,9 @@ proptest! {
 
     /// The prefix-cached evaluator driven through a full monotone seed
     /// schedule: slices are processed in increasing order, and within each
-    /// slice's window several seed bits are fixed in turn (mutating only
-    /// that slice's form — the contract `EdgeDpCache` relies on). After
+    /// slice's window seven seed bits are fixed in turn (mutating only
+    /// that slice's form — the contract `EdgeDpCache` relies on), so the
+    /// override classes repeat and the finished-result memo is hit. After
     /// **every** fix, the warm persistent cache must agree bitwise with a
     /// cold cache and with the reference.
     #[test]
@@ -270,8 +271,8 @@ proptest! {
         let inv = |shift: u32| ratio::recip_or_zero((kraw >> shift) as usize % 9);
         let mut warm = EdgeDpCache::new();
         for slice in 0..b {
-            // A window of "m + 1 = 3" seed bits per slice.
-            for step in 0..3usize {
+            // A window of "m + 1 = 7" seed bits per slice.
+            for step in 0..7usize {
                 let which = fix_ctrl >> (slice * 8 + step * 2);
                 let val = fix_ctrl >> (32 + slice + step) & 1 == 1;
                 let (u0, v0) = fix_forms(fu[slice], fv[slice], which, false);
@@ -427,6 +428,95 @@ fn coin_and_edge_entry_points_at_edge_thresholds_match_reference() {
             }
         }
     }
+}
+
+/// Two same-slice form vectors of `b ≤ 5` digits, every `s` bit free;
+/// each octal digit pair is one position's mask.
+fn free_pair(b: usize) -> (Vec<BitForm>, Vec<BitForm>) {
+    decode_forms(
+        b,
+        u64::MAX,
+        0b1010,
+        0b1001,
+        0o03_03_03_03_03,
+        0o06_06_06_06_06,
+        0,
+    )
+}
+
+/// One cache reused across digit widths with the same slice and
+/// thresholds: the width is part of the validity key, so the second call
+/// rebuilds its prefix states instead of resuming the 1-digit ones.
+#[test]
+fn edge_dp_cache_key_includes_the_width() {
+    let mut cache = EdgeDpCache::new();
+    let (t_u, t_v) = (1u64, 2u64);
+    for b in [1usize, 3] {
+        let (fu, fv) = free_pair(b);
+        let (u0, v0) = fix_forms(fu[0], fv[0], 1, false);
+        let (u1, v1) = fix_forms(fu[0], fv[0], 1, true);
+        let got = digit_dp::edge_shares_cached(
+            &mut cache,
+            &fu,
+            [u0, u1],
+            t_u,
+            0.5,
+            0.25,
+            &fv,
+            [v0, v1],
+            t_v,
+            0.125,
+            1.0,
+            0,
+        );
+        let want = reference::edge_shares(
+            &fu,
+            [u0, u1],
+            t_u,
+            0.5,
+            0.25,
+            &fv,
+            [v0, v1],
+            t_v,
+            0.125,
+            1.0,
+            0,
+        );
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "b={b}");
+    }
+}
+
+/// The debug contract check covers the digits below the current slice,
+/// whose finished walks the memo reuses: changing one in the middle of a
+/// window is reported instead of answered from the stale memo.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "monotone seed-schedule contract")]
+fn edge_dp_cache_rejects_a_changed_digit_below_the_slice() {
+    let (mut fu, fv) = free_pair(4);
+    let slice = 2;
+    let (u0, v0) = fix_forms(fu[slice], fv[slice], 2, false);
+    let (u1, v1) = fix_forms(fu[slice], fv[slice], 2, true);
+    let mut cache = EdgeDpCache::new();
+    let mut shares = |fu: &[BitForm]| {
+        digit_dp::edge_shares_cached(
+            &mut cache,
+            fu,
+            [u0, u1],
+            9,
+            0.5,
+            0.25,
+            &fv,
+            [v0, v1],
+            6,
+            0.125,
+            1.0,
+            slice,
+        )
+    };
+    let _ = shares(&fu);
+    fu[0].offset = !fu[0].offset;
+    let _ = shares(&fu);
 }
 
 /// 64 free digits: every threshold `t < 2^64` is in range, but `1 << 64`
