@@ -28,8 +28,8 @@ use crate::network::CliqueNetwork;
 use dcl_coloring::derand_step::accuracy_bits;
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
-use dcl_derand::seed::PartialSeed;
-use dcl_derand::slice::{coin_threshold, PackedForms, SliceFamily};
+use dcl_coloring::segment::derandomize_segments;
+use dcl_derand::slice::{coin_threshold, SliceFamily};
 use dcl_sim::{ExecConfig, Wire};
 
 /// Configuration of the clique coloring.
@@ -232,7 +232,6 @@ pub fn clique_color(
         let extra = (delta_act as u64 + 1).saturating_mul(1 << width);
         let b = accuracy_bits(delta_act, residual.color_bits(), extra);
         let family = SliceFamily::new(m_bits, b);
-        let seed_len = family.seed_len();
         let lambda = config.segment_bits.min(m_bits).max(1);
 
         let mut state = PrefixState::new(&residual, &active);
@@ -266,45 +265,15 @@ pub fn clique_color(
             // so the round stretches by the per-word fragment factor.
             net.charge_rounds(u64::from(net.cap().fragments(64)));
 
-            // Segmented derandomization of the shared seed. Forms are kept
-            // directly in the kernels' packed SoA layout: the per-candidate
-            // scratch below then clones one flat allocation (instead of n
-            // nested `Vec`s) and the interval DP consumes it without a
-            // per-call pack step.
-            let mut seed = PartialSeed::new(seed_len);
-            let empty = PackedForms::from_forms(&[]);
-            let mut forms: Vec<PackedForms> = (0..n)
-                .map(|v| {
-                    if active[v] {
-                        family.packed_forms_for(&seed, psi[v])
-                    } else {
-                        empty.clone()
-                    }
-                })
-                .collect();
+            // Segmented derandomization of the shared seed. All 2^λ
+            // candidate values of a segment are evaluated simultaneously —
+            // one responsible node each in the real clique, the backend pool
+            // here. Each candidate's score sums `p·(inv_u + inv_v)` per digit
+            // into one running total in edge order, so the winning segment
+            // is bit-identical across backends.
             let edges = state.conflict_edges();
-            let mut start = 0usize;
-            while start < seed_len {
-                let end = (start + lambda as usize).min(seed_len);
-                let candidates = 1usize << (end - start);
-                // All 2^λ candidate values are evaluated simultaneously —
-                // one responsible node each in the real clique, the backend
-                // pool here. Each candidate's score is computed with the
-                // sequential float-operation order and the argmin breaks
-                // ties toward the lower candidate, so the winning segment is
-                // bit-identical across backends.
-                let score = |cand: usize| -> f64 {
-                    let cand = cand as u64;
-                    // Candidate forms: base forms with the segment fixed.
-                    let mut scratch: Vec<PackedForms> = forms.clone();
-                    for (offset, j) in (start..end).enumerate() {
-                        let bit = cand >> offset & 1 == 1;
-                        for v in 0..n {
-                            if active[v] {
-                                family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                            }
-                        }
-                    }
+            let (seed, segments) =
+                derandomize_segments(net.pool(), &family, &psi, &active, lambda, |forms| {
                     let mut total = 0.0f64;
                     for &(u, v) in &edges {
                         for a in 0..digits {
@@ -314,34 +283,17 @@ pub fn clique_color(
                                 continue;
                             }
                             let p = dcl_kernels::digit_dp::joint_interval_packed(
-                                &scratch[u],
-                                ul,
-                                uh,
-                                &scratch[v],
-                                vl,
-                                vh,
+                                &forms[u], ul, uh, &forms[v], vl, vh,
                             );
                             total += p * (inv[u][a] + inv[v][a]);
                         }
                     }
                     total
-                };
-                let (_, winner) = dcl_sim::argmin_f64(net.pool(), candidates, score);
-                // Fix the winning segment; O(1) rounds (responsible-node
-                // evaluation + leader argmin + broadcast; the word-sized
-                // scores fragment at sub-word caps).
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = (winner as u64) >> offset & 1 == 1;
-                    seed.fix(j, bit);
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                        }
-                    }
-                }
-                net.charge_rounds(2 + 2 * u64::from(net.cap().fragments(64)));
-                start = end;
-            }
+                });
+            // Each segment fixes in O(1) rounds (responsible-node evaluation
+            // + leader argmin + broadcast; the word-sized scores fragment at
+            // sub-word caps).
+            net.charge_rounds(segments as u64 * (2 + 2 * u64::from(net.cap().fragments(64))));
 
             // Apply digits and update the conflict graph (one round).
             for v in 0..n {
@@ -358,20 +310,7 @@ pub fn clique_color(
 
         // Conflict resolution: matching by larger id (one round).
         net.charge_rounds(1);
-        let mut newly = Vec::new();
-        for v in 0..n {
-            if !active[v] {
-                continue;
-            }
-            let keeps = match state.conflict_neighbors(v) {
-                [] => true,
-                [w] => state.conflict_degree(*w) > 1 || v > *w,
-                _ => false,
-            };
-            if keeps {
-                newly.push((v, state.candidate_color(&residual, v)));
-            }
-        }
+        let newly = state.mis_avoidance_keeps(&residual);
         // Announce colors, prune lists (one round).
         net.charge_rounds(1);
         for &(v, c) in &newly {

@@ -10,6 +10,8 @@
 //!   one-bit prefix extension (Algorithm 1; Lemmas 2.2 and 2.3);
 //! - [`derand_step`] — the derandomized one-bit extension via the method of
 //!   conditional expectations over a BFS forest (Lemma 2.6);
+//! - [`segment`] — the `λ`-bits-at-a-time seed derandomization shared by
+//!   the CONGESTED CLIQUE and MPC drivers (Theorems 1.3–1.5);
 //! - [`partial`] — the partial coloring that permanently colors at least a
 //!   1/8 fraction of the nodes (Lemma 2.1);
 //! - [`congest_coloring`] — the full CONGEST algorithm (Theorem 1.1);
@@ -48,6 +50,7 @@ pub mod partial;
 pub mod potential;
 pub mod prefix;
 pub mod scenario;
+pub mod segment;
 
 pub use congest_coloring::{color_degree_plus_one, color_list_instance, CongestColoringConfig};
 pub use instance::ListInstance;

@@ -144,7 +144,7 @@ pub fn partial_coloring(
         .collect();
     let eligible_count = eligible.iter().filter(|&&e| e).count();
 
-    let keeps: Vec<bool> = match config.resolution {
+    let colored: Vec<(NodeId, u64)> = match config.resolution {
         ConflictResolution::Mis => {
             // Conflict adjacency restricted to eligible nodes.
             let adj: Vec<Vec<NodeId>> = (0..n)
@@ -162,31 +162,18 @@ pub fn partial_coloring(
                 })
                 .collect();
             let mis = mis_bounded_degree(net, &adj, &eligible, psi, psi_palette);
-            mis.in_set
+            (0..n)
+                .filter(|&v| mis.in_set[v])
+                .map(|v| (v, state.candidate_color(instance, v)))
+                .collect()
         }
         ConflictResolution::AvoidMis => {
             // One round: conflict pairs resolve by id (the induced conflict
             // graph on eligible nodes is a matching).
             let _ = net.fragmented_broadcast_round(|v| if eligible[v] { Some(1u8) } else { None });
-            (0..n)
-                .map(|v| {
-                    if !eligible[v] {
-                        return false;
-                    }
-                    match state.conflict_neighbors(v) {
-                        [] => true,
-                        [w] => !eligible[*w] || v > *w,
-                        _ => false,
-                    }
-                })
-                .collect()
+            state.mis_avoidance_keeps(instance)
         }
     };
-
-    let colored: Vec<(NodeId, u64)> = (0..n)
-        .filter(|&v| keeps[v])
-        .map(|v| (v, state.candidate_color(instance, v)))
-        .collect();
 
     PartialOutcome {
         colored,

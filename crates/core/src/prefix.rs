@@ -292,6 +292,30 @@ impl PrefixState {
         );
         instance.list(v)[self.lo[v]]
     }
+
+    /// The MIS-avoidance keep rule of Section 4, applied to the completed
+    /// selection: an active node keeps its candidate color if it has no
+    /// conflict, or if its single conflict partner is matched (conflict
+    /// degree 1) with a smaller id or has further conflicts. Returns the
+    /// kept `(node, color)` pairs in node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is incomplete (see
+    /// [`PrefixState::candidate_color`]).
+    pub fn mis_avoidance_keeps(&self, instance: &ListInstance) -> Vec<(NodeId, u64)> {
+        (0..self.active.len())
+            .filter(|&v| {
+                self.active[v]
+                    && match self.conflict_neighbors(v) {
+                        [] => true,
+                        [w] => self.conflict_degree(*w) > 1 || v > *w,
+                        _ => false,
+                    }
+            })
+            .map(|v| (v, self.candidate_color(instance, v)))
+            .collect()
+    }
 }
 
 /// One phase of Algorithm 1 with *fully independent* exact-probability coins

@@ -4,8 +4,9 @@
 //! Section 4.
 //!
 //! Both drivers share the candidate-selection core (bitwise prefix
-//! extension with segment-wise seed derandomization, exactly as in the
-//! clique — the models differ in *where* data lives and what a round may
+//! extension with the segment-wise seed derandomization of
+//! [`dcl_coloring::segment::derandomize_segments`], the same loop the clique
+//! runs — the models differ in *where* data lives and what a round may
 //! move, which is captured by the cost events charged to the simulator):
 //!
 //! - **linear** (`S = Θ̃(n)`): a node's whole neighborhood and list live on
@@ -23,7 +24,7 @@ use crate::tools;
 use dcl_coloring::derand_step::accuracy_bits;
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
-use dcl_derand::seed::PartialSeed;
+use dcl_coloring::segment::derandomize_segments;
 use dcl_derand::slice::{coin_threshold, PackedForms, SliceFamily};
 use dcl_graphs::NodeId;
 
@@ -72,10 +73,10 @@ pub struct SelectionCosts {
 }
 
 /// One derandomized bitwise candidate selection over all active nodes,
-/// charged to `mpc` per `costs`. The `2^λ` segment candidates are evaluated
-/// through the cluster's backend pool (free local computation in the MPC
-/// cost model), with the deterministic argmin of [`dcl_sim::argmin_f64`] —
-/// bit-identical to the sequential evaluation.
+/// charged to `mpc` per `costs`. The seed is fixed by
+/// [`derandomize_segments`] on the cluster's backend pool (free local
+/// computation in the MPC cost model), bit-identical to the sequential
+/// evaluation.
 #[allow(clippy::too_many_arguments)]
 fn bitwise_selection(
     mpc: &mut Mpc,
@@ -89,7 +90,6 @@ fn bitwise_selection(
 ) -> PrefixState {
     let n = residual.graph().n();
     let family = SliceFamily::new(m_bits, b);
-    let seed_len = family.seed_len();
     let mut state = PrefixState::new(residual, active);
     while state.remaining_bits() > 0 {
         mpc.charge_rounds(costs.phase_rounds);
@@ -112,60 +112,22 @@ fn bitwise_selection(
         let mut k1_inv = vec![0.0f64; n];
         dcl_kernels::ratio::recip_batch(&k0, &mut k0_inv);
         dcl_kernels::ratio::recip_batch(&k1, &mut k1_inv);
-        // Forms live in the kernels' packed SoA layout: per-candidate
-        // scratch is one flat clone, and the coin DP runs pack-free.
-        let mut seed = PartialSeed::new(seed_len);
-        let empty = PackedForms::from_forms(&[]);
-        let mut forms: Vec<PackedForms> = (0..n)
-            .map(|v| {
-                if active[v] {
-                    family.packed_forms_for(&seed, psi[v])
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
         let edges = state.conflict_edges();
-        let mut start = 0usize;
-        while start < seed_len {
-            let end = (start + lambda as usize).min(seed_len);
-            let candidates = 1usize << (end - start);
-            let score = |cand: usize| -> f64 {
-                let cand = cand as u64;
-                let mut scratch = forms.clone();
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = cand >> offset & 1 == 1;
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                        }
-                    }
-                }
+        let (seed, segments) =
+            derandomize_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
                 let mut total = 0.0;
                 for &(u, v) in &edges {
                     let p = dcl_kernels::digit_dp::joint_coin_probs_packed(
-                        &scratch[u],
+                        &forms[u],
                         thresholds[u],
-                        &scratch[v],
+                        &forms[v],
                         thresholds[v],
                     );
                     total += p[3] * (k1_inv[u] + k1_inv[v]) + p[0] * (k0_inv[u] + k0_inv[v]);
                 }
                 total
-            };
-            let (_, winner) = dcl_sim::argmin_f64(mpc.pool(), candidates, score);
-            for (offset, j) in (start..end).enumerate() {
-                let bit = (winner as u64) >> offset & 1 == 1;
-                seed.fix(j, bit);
-                for v in 0..n {
-                    if active[v] {
-                        family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                    }
-                }
-            }
-            mpc.charge_rounds(costs.segment_rounds);
-            start = end;
-        }
+            });
+        mpc.charge_rounds(segments as u64 * costs.segment_rounds);
         for v in 0..n {
             if active[v] {
                 let z = family.evaluate(&seed, psi[v]);
@@ -176,23 +138,6 @@ fn bitwise_selection(
         state.finish_phase();
     }
     state
-}
-
-/// MIS-avoidance keep rule: conflict-free nodes keep; matched pairs keep the
-/// larger id.
-fn avoid_mis_keeps(state: &PrefixState, active: &[bool], n: usize) -> Vec<bool> {
-    (0..n)
-        .map(|v| {
-            if !active[v] {
-                return false;
-            }
-            match state.conflict_neighbors(v) {
-                [] => true,
-                [w] => state.conflict_degree(*w) > 1 || v > *w,
-                _ => false,
-            }
-        })
-        .collect()
 }
 
 /// Theorem 1.4: `(degree+1)`-list coloring with linear memory
@@ -291,11 +236,10 @@ pub fn mpc_color_linear_with(
                 segment_rounds: 2,
             },
         );
-        let keeps = avoid_mis_keeps(&state, &active, n);
+        let newly = state.mis_avoidance_keeps(&residual);
         mpc.charge_rounds(2); // keep decision + color announcements
         apply_keeps(
-            &keeps,
-            &state,
+            &newly,
             &mut residual,
             &mut active,
             &mut colors,
@@ -434,11 +378,10 @@ pub fn mpc_color_sublinear_with(
                 segment_rounds: 2 * tree_depth,
             },
         );
-        let keeps = avoid_mis_keeps(&state, &active, n);
+        let newly = state.mis_avoidance_keeps(&residual);
         mpc.charge_rounds(2);
-        let newly = apply_keeps(
-            &keeps,
-            &state,
+        apply_keeps(
+            &newly,
             &mut residual,
             &mut active,
             &mut colors,
@@ -473,7 +416,7 @@ pub fn mpc_color_sublinear_with(
             for block in &result {
                 for &((v, c), in_b) in block {
                     let still_listed = residual.list(v as usize).contains(&c);
-                    debug_assert_eq!(
+                    assert_eq!(
                         still_listed, !in_b,
                         "distributed set difference disagrees at node {v} color {c}"
                     );
@@ -537,7 +480,6 @@ fn run_finisher(
             (delta_act as u64 + 1) * (delta_act as u64 + 1),
         );
         let family = SliceFamily::new(m_bits, b);
-        let seed_len = family.seed_len();
         // Quantile thresholds over each node's full list.
         let mut thresholds: Vec<Vec<u64>> = vec![Vec::new(); n];
         for v in 0..n {
@@ -547,62 +489,29 @@ fn run_finisher(
             }
         }
         mpc.charge_rounds(2 * tree_depth); // lists meet at edge machines
-        let mut seed = PartialSeed::new(seed_len);
-        let empty = PackedForms::from_forms(&[]);
-        let mut forms: Vec<PackedForms> = (0..n)
-            .map(|v| {
-                if active[v] {
-                    family.packed_forms_for(&seed, psi[v])
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
+
         // Conflict edges = all active-active edges (fresh selection).
-        let g = residual.graph().clone();
-        let edges: Vec<(NodeId, NodeId)> =
-            g.edges().filter(|&(u, v)| active[u] && active[v]).collect();
-        let mut start = 0usize;
-        while start < seed_len {
-            let end = (start + lambda as usize).min(seed_len);
-            let candidates = 1usize << (end - start);
-            let score = |cand: usize| -> f64 {
-                let cand = cand as u64;
-                let mut scratch = forms.clone();
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = cand >> offset & 1 == 1;
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                        }
-                    }
-                }
+        let edges: Vec<(NodeId, NodeId)> = residual
+            .graph()
+            .edges()
+            .filter(|&(u, v)| active[u] && active[v])
+            .collect();
+        let (seed, segments) =
+            derandomize_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
                 let mut total = 0.0;
                 for &(u, v) in &edges {
                     total += edge_conflict_expectation(
                         residual,
                         u,
                         v,
-                        &scratch[u],
-                        &scratch[v],
+                        &forms[u],
+                        &forms[v],
                         &thresholds,
                     );
                 }
                 total
-            };
-            let (_, winner) = dcl_sim::argmin_f64(mpc.pool(), candidates, score);
-            for (offset, j) in (start..end).enumerate() {
-                let bit = (winner as u64) >> offset & 1 == 1;
-                seed.fix(j, bit);
-                for v in 0..n {
-                    if active[v] {
-                        family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                    }
-                }
-            }
-            mpc.charge_rounds(2 * tree_depth);
-            start = end;
-        }
+            });
+        mpc.charge_rounds(segments as u64 * 2 * tree_depth);
         // Apply: every active node picks the list color of its quantile.
         let mut chosen: Vec<Option<u64>> = vec![None; n];
         for v in 0..n {
@@ -624,33 +533,17 @@ fn run_finisher(
             }
         }
         mpc.charge_rounds(2);
-        let keeps: Vec<bool> = (0..n)
-            .map(|v| {
+        let newly: Vec<(NodeId, u64)> = (0..n)
+            .filter(|&v| {
                 active[v]
                     && (conflicts[v] == 0
                         || (conflicts[v] == 1 && (conflicts[partner[v]] > 1 || v > partner[v])))
             })
+            .map(|v| (v, chosen[v].expect("keeper has a chosen color")))
             .collect();
-        let mut newly = Vec::new();
-        for v in 0..n {
-            if keeps[v] {
-                newly.push((v, chosen[v].expect("keeper has a chosen color")));
-            }
-        }
         assert!(!newly.is_empty(), "finisher iteration made no progress");
-        for &(v, c) in &newly {
-            colors[v] = Some(c);
-            active[v] = false;
-            *uncolored -= 1;
-        }
         mpc.charge_rounds(1);
-        for &(v, c) in &newly {
-            for &u in residual.graph().clone().neighbors(v) {
-                if active[u] {
-                    residual.remove_color(u, c);
-                }
-            }
-        }
+        apply_keeps(&newly, residual, active, colors, uncolored);
     }
     iterations
 }
@@ -723,37 +616,29 @@ fn max_active_degree(residual: &ListInstance, active: &[bool]) -> usize {
         .unwrap_or(0)
 }
 
-/// Applies the keep decisions: records colors, deactivates nodes, prunes
-/// neighbor lists. Returns the newly colored `(node, color)` pairs.
+/// Applies the keep decisions: records the newly colored `(node, color)`
+/// pairs, deactivates those nodes, then prunes their colors from the lists
+/// of still-active neighbors.
 fn apply_keeps(
-    keeps: &[bool],
-    state: &PrefixState,
+    newly: &[(NodeId, u64)],
     residual: &mut ListInstance,
     active: &mut [bool],
     colors: &mut [Option<u64>],
     uncolored: &mut usize,
-) -> Vec<(NodeId, u64)> {
-    let n = keeps.len();
-    let mut newly = Vec::new();
-    for v in 0..n {
-        if keeps[v] {
-            newly.push((v, state.candidate_color(residual, v)));
-        }
-    }
-    let g = residual.graph().clone();
-    for &(v, c) in &newly {
+) {
+    for &(v, c) in newly {
         colors[v] = Some(c);
         active[v] = false;
         *uncolored -= 1;
     }
-    for &(v, c) in &newly {
+    let g = residual.graph().clone();
+    for &(v, c) in newly {
         for &u in g.neighbors(v) {
             if active[u] {
                 residual.remove_color(u, c);
             }
         }
     }
-    newly
 }
 
 #[cfg(test)]
