@@ -6,9 +6,10 @@
 //! The paper is a theory paper without an empirical section, so every
 //! quantitative claim (potential invariants, progress guarantees, round
 //! bounds, memory bounds) is turned into an experiment here. The
-//! `experiments` binary prints one table per experiment; `EXPERIMENTS.md`
-//! records paper-claim vs. measured. Criterion benches in `benches/` reuse
-//! the same workloads for wall-clock tracking.
+//! `experiments` binary prints one table per experiment and, under
+//! `--json`, records them in the `BENCH_experiments.json` layout;
+//! `DESIGN.md` §4 lists the paper claim each one tests. Criterion benches
+//! in `benches/` reuse the same workloads for wall-clock tracking.
 //!
 //! The pipeline-level experiments (E4–E9, E12, E13) are declarative
 //! [`dcl_runner::Runner`] programs over the [`dcl_runner::Scenario`]
@@ -708,13 +709,12 @@ pub fn e13_delta_coloring() -> Table {
 }
 
 /// E14 — transport-tier overhead: the identical CONGEST conversation
-/// shipped through each transport tier (in-memory reference, channel
-/// matrix, real localhost sockets). Model observables — inboxes, rounds,
-/// messages, bits — are bit-identical per the determinism contract
-/// (`DESIGN.md` §7); what varies is the physical layer the byte tiers
-/// meter: frames, payload bytes, wire bytes (headers plus the socket
-/// tier's handshakes and end-of-round markers), and MTU-sized packets at
-/// the model cap.
+/// shipped through both transport tiers (in-memory reference, real
+/// localhost sockets). Model observables — inboxes, rounds, messages,
+/// bits — are bit-identical per the determinism contract (`DESIGN.md` §7);
+/// what varies is the physical layer the socket tier meters: frames,
+/// payload bytes, wire bytes (frame headers plus handshakes and
+/// end-of-round markers), and MTU-sized packets at the model cap.
 pub fn e14_transport_overhead() -> Table {
     use dcl_sim::TransportSpec;
 
@@ -931,16 +931,16 @@ pub fn e11_mpc_tools() -> Table {
 /// One registered experiment: the id every tool addresses it by (matching
 /// the `"id"` field of `BENCH_experiments.json`) and its table function.
 pub struct ExperimentDef {
-    /// Stable experiment id (`"E1"` … `"E14"`, with `"E4b"`).
+    /// Stable experiment id (`"E1"` … `"E15"`, with `"E4b"`).
     pub id: &'static str,
     /// Runs the experiment and returns its table.
     pub run: fn() -> Table,
 }
 
-/// The registry of all experiments, in report order. The `experiments` and
-/// `experiments_baseline` bins and `run_all_experiments` all iterate this
-/// one list, so registering a new experiment (e.g. for a new scenario) is a
-/// single entry here.
+/// The registry of all experiments, in report order. The `experiments` bin
+/// (text report and `--json` baseline alike) iterates this one list, so
+/// registering a new experiment (e.g. for a new scenario) is a single entry
+/// here.
 pub fn experiment_defs() -> Vec<ExperimentDef> {
     vec![
         ExperimentDef {
@@ -1008,17 +1008,6 @@ pub fn experiment_defs() -> Vec<ExperimentDef> {
             run: e15_service_overhead,
         },
     ]
-}
-
-/// Runs every registered experiment and returns the rendered report.
-pub fn run_all_experiments() -> String {
-    let mut out = String::new();
-    out.push_str("# Experiment report — deterministic distributed coloring reproduction\n\n");
-    for def in experiment_defs() {
-        out.push_str(&(def.run)().render());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]

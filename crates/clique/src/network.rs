@@ -321,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_transports_match_the_local_reference_bit_for_bit() {
+    fn tcp_matches_the_local_reference_bit_for_bit() {
         let sender = |v: usize| -> Vec<(usize, u64)> {
             (0..16usize)
                 .filter(|&u| u != v && (u + v).is_multiple_of(3))
@@ -330,23 +330,17 @@ mod tests {
         };
         let mut reference = CliqueNetwork::with_default_cap(16);
         let rounds_ref = [reference.round(sender), reference.round(sender)];
-        for transport in [TransportSpec::Channel, TransportSpec::Tcp] {
-            let exec = dcl_sim::ExecConfig::default().with_transport(transport);
-            let mut net = CliqueNetwork::from_exec(16, &exec);
-            assert_eq!(net.transport(), transport);
-            assert_eq!(rounds_ref[0], net.round(sender), "{transport}");
-            assert_eq!(rounds_ref[1], net.round(sender), "{transport}");
-            assert_eq!(reference.metrics(), net.metrics(), "{transport}");
-            // Lenzen routing is a charged collective: central delivery, no
-            // transport frames.
-            let frames_before = net.transport_stats().map_or(0, |s| s.frames);
-            let _ = net.lenzen_route(vec![(0, 1, 5u32), (3, 2, 6u32)]);
-            assert_eq!(
-                net.transport_stats().map_or(0, |s| s.frames),
-                frames_before,
-                "{transport}"
-            );
-        }
+        let exec = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
+        let mut net = CliqueNetwork::from_exec(16, &exec);
+        assert_eq!(net.transport(), TransportSpec::Tcp);
+        assert_eq!(rounds_ref[0], net.round(sender));
+        assert_eq!(rounds_ref[1], net.round(sender));
+        assert_eq!(reference.metrics(), net.metrics());
+        // Lenzen routing is a charged collective: central delivery, no
+        // transport frames.
+        let frames_before = net.transport_stats().map_or(0, |s| s.frames);
+        let _ = net.lenzen_route(vec![(0, 1, 5u32), (3, 2, 6u32)]);
+        assert_eq!(net.transport_stats().map_or(0, |s| s.frames), frames_before);
     }
 
     #[test]

@@ -514,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_transports_match_the_local_reference_bit_for_bit() {
+    fn tcp_matches_the_local_reference_bit_for_bit() {
         let g = generators::gnp(24, 0.3, 9);
         let sender = |v: NodeId| -> Vec<(NodeId, u64)> {
             g.neighbors(v)
@@ -525,18 +525,18 @@ mod tests {
         let mut reference = Network::from_exec(&g, 25, &ExecConfig::default());
         let rounds_ref = [reference.round(sender), reference.round(sender)];
         let broadcast_ref = reference.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
-        for transport in [TransportSpec::Channel, TransportSpec::Tcp] {
-            let exec = ExecConfig::default().with_transport(transport);
-            let mut net = Network::from_exec(&g, 25, &exec);
-            assert_eq!(net.transport(), transport);
-            assert_eq!(rounds_ref[0], net.round(sender), "{transport}");
-            assert_eq!(rounds_ref[1], net.round(sender), "{transport}");
-            let b = net.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
-            assert_eq!(broadcast_ref, b, "{transport}");
-            assert_eq!(reference.metrics(), net.metrics(), "{transport}");
-            let stats = net.transport_stats().expect("byte tiers meter traffic");
-            assert_eq!(stats.frames, reference.metrics().messages, "{transport}");
-        }
+        let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
+        let mut net = Network::from_exec(&g, 25, &exec);
+        assert_eq!(net.transport(), TransportSpec::Tcp);
+        assert_eq!(rounds_ref[0], net.round(sender));
+        assert_eq!(rounds_ref[1], net.round(sender));
+        let b = net.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
+        assert_eq!(broadcast_ref, b);
+        assert_eq!(reference.metrics(), net.metrics());
+        let stats = net
+            .transport_stats()
+            .expect("the socket tier meters traffic");
+        assert_eq!(stats.frames, reference.metrics().messages);
         assert!(reference.transport_stats().is_none());
     }
 

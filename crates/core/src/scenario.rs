@@ -6,8 +6,8 @@
 //! keep using the underlying entry point directly.
 //!
 //! The full `ExecConfig` is honored, transport tier included: the same
-//! cell re-run on `TransportSpec::Channel` or `TransportSpec::Tcp` ships
-//! its rounds through real byte streams and still produces a bit-identical
+//! cell re-run on `TransportSpec::Tcp` ships its rounds through real
+//! localhost sockets and still produces a bit-identical
 //! `Report` (pinned by `tests/transport_oracle.rs` at the workspace root).
 
 use crate::congest_coloring::{color_list_instance, CongestColoringConfig};

@@ -5,8 +5,8 @@
 //! and the decomposition/coloring round split the E5 experiment tabulates.
 //!
 //! The full `ExecConfig` is honored, transport tier included: the same
-//! cell re-run on `TransportSpec::Channel` or `TransportSpec::Tcp` ships
-//! its rounds through real byte streams and still produces a bit-identical
+//! cell re-run on `TransportSpec::Tcp` ships its rounds through real
+//! localhost sockets and still produces a bit-identical
 //! `Report` (pinned by `tests/transport_oracle.rs` at the workspace root).
 
 use crate::coloring::{color_via_decomposition, DecompColoringConfig};

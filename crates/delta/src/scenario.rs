@@ -6,8 +6,8 @@
 //! `err.rejection::<DeltaError>()` recovers it losslessly.
 //!
 //! The full `ExecConfig` is honored, transport tier included: the same
-//! cell re-run on `TransportSpec::Channel` or `TransportSpec::Tcp` ships
-//! its rounds through real byte streams and still produces a bit-identical
+//! cell re-run on `TransportSpec::Tcp` ships its rounds through real
+//! localhost sockets and still produces a bit-identical
 //! outcome — typed rejections included (pinned by
 //! `tests/transport_oracle.rs` at the workspace root).
 

@@ -23,7 +23,7 @@ use dcl_sim::{
 ///
 /// Every MPC payload is also [`Wire`] (all the impls below have blanket
 /// `Wire` coverage in `dcl_sim`), which is what lets [`Mpc::round`] ship
-/// over the byte transports of the transport tier.
+/// over the socket transport.
 pub trait WordSized {
     /// Number of machine words the value occupies.
     fn words(&self) -> usize;
@@ -397,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_transports_match_the_local_reference_bit_for_bit() {
+    fn tcp_matches_the_local_reference_bit_for_bit() {
         let sender = |i: usize| -> Vec<(usize, (u64, u64))> {
             (0..12usize)
                 .filter(|&d| d != i && (d + i).is_multiple_of(4))
@@ -406,23 +406,23 @@ mod tests {
         };
         let mut reference = Mpc::new(12, 50);
         let rounds_ref = [reference.round(sender), reference.round(sender)];
-        for transport in [TransportSpec::Channel, TransportSpec::Tcp] {
-            let exec = ExecConfig::default().with_transport(transport);
-            let mut mpc = Mpc::from_exec(12, 50, &exec);
-            assert_eq!(mpc.transport(), transport);
-            assert_eq!(rounds_ref[0], mpc.round(sender), "{transport}");
-            assert_eq!(rounds_ref[1], mpc.round(sender), "{transport}");
-            assert_eq!(reference.metrics(), mpc.metrics(), "{transport}");
-            let stats = mpc.transport_stats().expect("byte tiers meter traffic");
-            assert_eq!(stats.frames, reference.metrics().messages, "{transport}");
-        }
+        let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
+        let mut mpc = Mpc::from_exec(12, 50, &exec);
+        assert_eq!(mpc.transport(), TransportSpec::Tcp);
+        assert_eq!(rounds_ref[0], mpc.round(sender));
+        assert_eq!(rounds_ref[1], mpc.round(sender));
+        assert_eq!(reference.metrics(), mpc.metrics());
+        let stats = mpc
+            .transport_stats()
+            .expect("the socket tier meters traffic");
+        assert_eq!(stats.frames, reference.metrics().messages);
         assert!(reference.transport_stats().is_none());
     }
 
     #[test]
     #[should_panic(expected = "send budget")]
     fn send_budget_fires_before_the_transport_ships() {
-        let exec = ExecConfig::default().with_transport(TransportSpec::Channel);
+        let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
         let mut mpc = Mpc::from_exec(2, 2, &exec);
         let _ = mpc.round(|i| {
             if i == 0 {

@@ -435,7 +435,7 @@ mod tests {
         let sweep = Runner::new(&Greedy)
             .graph(GraphSpec::ring(8))
             .caps([CapSpec::Bits(8), CapSpec::Bits(16)])
-            .transports([TransportSpec::Local, TransportSpec::Channel])
+            .transports([TransportSpec::Local, TransportSpec::Tcp])
             .run();
         let order: Vec<(Option<u32>, TransportSpec)> = sweep
             .cells
@@ -446,9 +446,9 @@ mod tests {
             order,
             vec![
                 (Some(8), TransportSpec::Local),
-                (Some(8), TransportSpec::Channel),
+                (Some(8), TransportSpec::Tcp),
                 (Some(16), TransportSpec::Local),
-                (Some(16), TransportSpec::Channel),
+                (Some(16), TransportSpec::Tcp),
             ]
         );
     }

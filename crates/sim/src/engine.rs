@@ -13,7 +13,7 @@
 use crate::cap::BandwidthCap;
 use crate::metrics::SimMetrics;
 use crate::topology::{validate_sends, NeighborTopology, Topology};
-use crate::transport::{Frame, RoundLimits, Transport, TransportSpec, TransportStats};
+use crate::transport::{Frame, RoundLimits, TcpTransport, TransportSpec, TransportStats};
 use crate::wire::Wire;
 use dcl_par::{Backend, Pool};
 
@@ -38,18 +38,18 @@ pub enum SendPolicy {
 
 /// Backend-aware round executor: a [`Backend`] knob plus the worker pool it
 /// implies, and a [`TransportSpec`] knob selecting which transport tier
-/// carries each round's messages (in-memory reference, channel matrix, or
-/// localhost sockets — results are bit-identical across tiers).
+/// carries each round's messages (in-memory reference or localhost
+/// sockets — results are bit-identical across tiers).
 #[derive(Debug)]
 pub struct RoundEngine {
     backend: Backend,
     /// Worker pool, present only when `backend` is effectively parallel.
     pool: Option<Pool>,
     transport_spec: TransportSpec,
-    /// The built transport, created lazily on the first shipped round
+    /// The socket transport, created lazily on the first shipped round
     /// (so [`TransportSpec::Local`]'s zero-copy fast path never pays for
     /// socket setup).
-    transport: Option<Box<dyn Transport>>,
+    transport: Option<TcpTransport>,
 }
 
 impl RoundEngine {
@@ -100,7 +100,7 @@ impl RoundEngine {
     /// fast path bypasses the transport object entirely).
     #[must_use]
     pub fn transport_stats(&self) -> Option<&TransportStats> {
-        self.transport.as_deref().map(Transport::stats)
+        self.transport.as_ref().map(TcpTransport::stats)
     }
 
     /// Fault injection for tests: tears down endpoint `v` on the built
@@ -110,7 +110,7 @@ impl RoundEngine {
     /// endpoint count used if the transport must be built.
     pub fn close_transport_endpoint(&mut self, n: usize, v: usize) {
         self.ensure_transport(n);
-        if let Some(transport) = self.transport.as_deref_mut() {
+        if let Some(transport) = self.transport.as_mut() {
             transport.close_endpoint(v);
         }
     }
@@ -123,18 +123,18 @@ impl RoundEngine {
         }
         let stale = self
             .transport
-            .as_deref()
+            .as_ref()
             .is_none_or(|transport| transport.len() != n);
         if stale {
-            self.transport = Some(self.transport_spec.build(n));
+            self.transport = Some(TcpTransport::new(n));
         }
     }
 
     /// Ships one round of already-validated outgoing messages over the
     /// active transport and returns the per-recipient inboxes. On
     /// [`TransportSpec::Local`] this is the zero-copy sender-order
-    /// [`deliver`] merge; on the byte tiers every payload crosses the
-    /// `Wire` codec inside a length-prefixed frame and the transport's
+    /// [`deliver`] merge; on [`TransportSpec::Tcp`] every payload crosses
+    /// the `Wire` codec inside a length-prefixed frame and the transport's
     /// sorted-by-sender/per-link-FIFO delivery reproduces the same order
     /// bit for bit.
     ///
@@ -161,8 +161,8 @@ impl RoundEngine {
         self.ensure_transport(n);
         let transport = self
             .transport
-            .as_deref_mut()
-            .expect("ensure_transport builds non-local transports");
+            .as_mut()
+            .expect("ensure_transport builds the socket transport");
         transport.begin_round(&RoundLimits { cap, policy, model });
         for (u, msgs) in outgoing.into_iter().enumerate() {
             for (v, msg) in msgs {

@@ -21,9 +21,9 @@
 //! - [`deadline`] — [`Deadline`]/[`deadline::park_tick`]: the workspace's
 //!   single audited wall-clock site, shared by every socket liveness
 //!   timeout (the TCP transport and the `dcl_service` server/client);
-//! - [`transport`] — the pluggable [`Transport`] tier under the engine:
-//!   in-memory reference, `mpsc` channel matrix, and localhost TCP sockets
-//!   shipping length-prefixed [`Wire`]-encoded frames, proven bit-identical
+//! - [`transport`] — the [`TransportSpec`] knob under the engine: the
+//!   in-memory reference, or the [`TcpTransport`] shipping length-prefixed
+//!   [`Wire`]-encoded frames over localhost sockets, proven bit-identical
 //!   by the cross-transport determinism suites (`DESIGN.md` §7);
 //! - [`exec`] — [`ExecConfig`]: the `{backend, cap, transport}` knob every
 //!   driver config embeds.
@@ -78,7 +78,6 @@ pub use exec::ExecConfig;
 pub use metrics::SimMetrics;
 pub use topology::{AllPairsTopology, MachineTopology, NeighborTopology, Topology};
 pub use transport::{
-    ChannelTransport, Frame, FrameReader, LocalTransport, RoundLimits, TcpTransport, Transport,
-    TransportError, TransportSpec, TransportStats,
+    Frame, FrameReader, RoundLimits, TcpTransport, TransportError, TransportSpec, TransportStats,
 };
 pub use wire::{bit_len, Wire};

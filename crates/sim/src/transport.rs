@@ -1,31 +1,26 @@
-//! The pluggable transport tier under [`RoundEngine`](crate::RoundEngine).
+//! The byte transport under [`RoundEngine`](crate::RoundEngine).
 //!
-//! A [`Transport`] moves length-prefixed [`Frame`]s between the `n`
-//! endpoints of one simulated network, one round at a time. Three tiers
-//! implement the contract (`DESIGN.md` §7):
+//! Two tiers carry a round's messages (`DESIGN.md` §7):
 //!
-//! - [`LocalTransport`] — in-memory per-recipient frame queues, the
-//!   reference tier (the engine additionally short-circuits the
-//!   [`TransportSpec::Local`] spec to its zero-copy inbox merge, so real
-//!   Local runs never serialize at all);
-//! - [`ChannelTransport`] — a mock multiparty channel matrix of
-//!   `std::sync::mpsc` duplex pairs, one per ordered endpoint pair, with
-//!   every frame crossing the byte codec;
-//! - [`TcpTransport`] — real localhost sockets with length-prefixed
-//!   framing, lazy dialing, and end-of-round markers.
+//! - [`TransportSpec::Local`] — the reference: the engine's zero-copy
+//!   sender-order inbox merge, with no transport object and no
+//!   serialization at all;
+//! - [`TransportSpec::Tcp`] — a [`TcpTransport`] moving length-prefixed
+//!   [`Frame`]s between the `n` endpoints over real localhost sockets, with
+//!   lazy dialing and end-of-round markers.
 //!
-//! The determinism contract across tiers: after a round of `send` calls in
-//! sender order, [`Transport::finish_round`] returns per-recipient frame
-//! lists *sorted by sender with per-link FIFO order* — exactly the order of
-//! the engine's sequential inbox merge — and under
-//! [`SendPolicy::Strict`] every tier enforces the [`BandwidthCap`] on the
-//! frame's *declared model bits* with the simulated tier's exact assertion
-//! wording, so an oversend classifies as the same typed budget error no
-//! matter which tier caught it. Actual bytes on the wire are *metered* (in
-//! [`TransportStats`]) rather than gated: any self-delimiting codec pays
-//! `O(1)` bits of overhead per value over the information-theoretic widths
-//! the cost model charges, so gating physical bytes would panic where the
-//! simulated tier does not and break the oracle.
+//! The determinism contract: after a round of `send` calls in sender order,
+//! [`TcpTransport::finish_round`] returns per-recipient frame lists *sorted
+//! by sender with per-link FIFO order* — exactly the order of the engine's
+//! sequential inbox merge — and under [`SendPolicy::Strict`] it enforces the
+//! [`BandwidthCap`] on the frame's *declared model bits* with the simulated
+//! tier's exact assertion wording, so an oversend classifies as the same
+//! typed budget error on either tier. Actual bytes on the wire are
+//! *metered* (in [`TransportStats`]) rather than gated: any self-delimiting
+//! codec pays `O(1)` bits of overhead per value over the
+//! information-theoretic widths the cost model charges, so gating physical
+//! bytes would panic where the simulated tier does not and break the
+//! oracle.
 
 use crate::cap::BandwidthCap;
 use crate::deadline::{park_tick, Deadline};
@@ -33,7 +28,6 @@ use crate::engine::SendPolicy;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
 use std::time::Duration;
 
 /// Which transport tier a round engine ships frames over.
@@ -42,48 +36,25 @@ pub enum TransportSpec {
     /// In-memory inboxes — the reference tier and the default.
     #[default]
     Local,
-    /// An in-process matrix of `std::sync::mpsc` channels, one duplex pair
-    /// per ordered endpoint pair; frames cross the byte codec.
-    Channel,
     /// Real localhost TCP sockets with length-prefixed framing.
     Tcp,
 }
 
 impl TransportSpec {
-    /// Stable lower-case name ("local" / "channel" / "tcp") used in sweep
-    /// tables and CI artifacts.
+    /// Stable lower-case name ("local" / "tcp") used in sweep tables and CI
+    /// artifacts.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             TransportSpec::Local => "local",
-            TransportSpec::Channel => "channel",
             TransportSpec::Tcp => "tcp",
         }
     }
 
-    /// All three tiers, Local first (the reference).
+    /// Both tiers, Local first (the reference).
     #[must_use]
-    pub fn all() -> [TransportSpec; 3] {
-        [
-            TransportSpec::Local,
-            TransportSpec::Channel,
-            TransportSpec::Tcp,
-        ]
-    }
-
-    /// Builds the transport for an `n`-endpoint network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`TransportSpec::Tcp`] transport cannot bind its
-    /// localhost listeners.
-    #[must_use]
-    pub fn build(self, n: usize) -> Box<dyn Transport> {
-        match self {
-            TransportSpec::Local => Box::new(LocalTransport::new(n)),
-            TransportSpec::Channel => Box::new(ChannelTransport::new(n)),
-            TransportSpec::Tcp => Box::new(TcpTransport::new(n)),
-        }
+    pub fn all() -> [TransportSpec; 2] {
+        [TransportSpec::Local, TransportSpec::Tcp]
     }
 }
 
@@ -166,11 +137,10 @@ pub struct Frame {
 
 /// Physical-layer counters a transport accumulates across its lifetime.
 ///
-/// `frames`, `payload_bytes` and `packets` are tier-independent (the
-/// equivalence suites pin them identical across Channel and Tcp);
-/// `wire_bytes` additionally counts tier-specific framing overhead (frame
-/// headers everywhere, plus hello/end-of-round marker frames on TCP), so it
-/// legitimately differs between tiers.
+/// `frames`, `payload_bytes` and `packets` are functions of the delivered
+/// messages alone (the equivalence suites recompute them from the inboxes);
+/// `wire_bytes` additionally counts the framing overhead — a frame header
+/// per data frame plus the hello and end-of-round marker frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Data frames sent.
@@ -320,63 +290,8 @@ impl FrameReader {
     }
 }
 
-/// A round-synchronous frame mover between `n` endpoints.
-///
-/// Contract (pinned by `crates/sim/tests/transport_equivalence.rs`):
-///
-/// 1. A round is `begin_round`, then any number of `send(from, to, frame)`
-///    calls, then one `finish_round`.
-/// 2. `finish_round` returns one frame list per recipient, **sorted by
-///    sender with per-link FIFO order** — the order of the engine's
-///    sequential inbox merge, making delivery bit-identical to the
-///    [`LocalTransport`] reference.
-/// 3. Under [`SendPolicy::Strict`] with a cap, `send` enforces the cap on
-///    the frame's `declared_bits` with the simulated tier's exact
-///    assertion wording (so the failure classifies as the same typed
-///    budget error); physical bytes are metered in [`TransportStats`],
-///    never gated.
-/// 4. A broken or closed peer surfaces as `Err(TransportError)` — never a
-///    hang (socket reads and accepts carry deadlines).
-pub trait Transport: std::fmt::Debug {
-    /// The tier's stable name ("local" / "channel" / "tcp").
-    fn name(&self) -> &'static str;
-
-    /// Number of endpoints.
-    fn len(&self) -> usize;
-
-    /// Whether the network has no endpoints.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Starts a round under the given limits.
-    fn begin_round(&mut self, limits: &RoundLimits);
-
-    /// Ships one frame from endpoint `from` to endpoint `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the model's budget assertion if the frame's declared
-    /// bits exceed the round's cap under [`SendPolicy::Strict`].
-    fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError>;
-
-    /// Completes the round and returns the per-recipient `(sender, frame)`
-    /// lists, sorted by sender with per-link FIFO order.
-    fn finish_round(&mut self) -> Result<Vec<Vec<(usize, Frame)>>, TransportError>;
-
-    /// Lifetime physical-layer counters.
-    fn stats(&self) -> &TransportStats;
-
-    /// Fault injection: tears down endpoint `v` (drops its listener and
-    /// every link touching it), so subsequent traffic involving `v` fails
-    /// with [`TransportError::Disconnected`]. No-op on tiers without
-    /// teardown semantics.
-    fn close_endpoint(&mut self, _v: usize) {}
-}
-
 /// Enforces the round's cap on declared bits (Strict only, identical
-/// wording to `SimMetrics::account`) and meters the frame. Shared by every
-/// tier so enforcement and metering cannot drift apart.
+/// wording to `SimMetrics::account`) and meters the frame.
 fn meter_send(stats: &mut TransportStats, limits: &RoundLimits, frame: &Frame) {
     if limits.policy == SendPolicy::Strict {
         if let Some(cap) = limits.cap {
@@ -402,196 +317,6 @@ fn meter_send(stats: &mut TransportStats, limits: &RoundLimits, frame: &Frame) {
     stats.packets += packets as u64;
 }
 
-/// The in-memory reference tier: frames queue per recipient and are
-/// stably sorted by sender at `finish_round`. No serialization happens —
-/// payload bytes pass through untouched.
-#[derive(Debug)]
-pub struct LocalTransport {
-    n: usize,
-    limits: RoundLimits,
-    queues: Vec<Vec<(usize, Frame)>>,
-    stats: TransportStats,
-}
-
-impl LocalTransport {
-    /// A local transport for `n` endpoints.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        LocalTransport {
-            n,
-            limits: RoundLimits::default(),
-            queues: (0..n).map(|_| Vec::new()).collect(),
-            stats: TransportStats::default(),
-        }
-    }
-}
-
-impl Transport for LocalTransport {
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn begin_round(&mut self, limits: &RoundLimits) {
-        self.limits = *limits;
-    }
-
-    fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError> {
-        assert!(to < self.n, "recipient {to} out of range");
-        meter_send(&mut self.stats, &self.limits, &frame);
-        self.queues[to].push((from, frame));
-        Ok(())
-    }
-
-    fn finish_round(&mut self) -> Result<Vec<Vec<(usize, Frame)>>, TransportError> {
-        let mut out: Vec<Vec<(usize, Frame)>> = (0..self.n).map(|_| Vec::new()).collect();
-        std::mem::swap(&mut out, &mut self.queues);
-        for inbox in &mut out {
-            // Stable: per-link FIFO order is preserved within each sender.
-            inbox.sort_by_key(|(from, _)| *from);
-        }
-        Ok(out)
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-}
-
-/// The mock multiparty tier: an `n × n` matrix of `std::sync::mpsc`
-/// channels, one per ordered endpoint pair. Every frame crosses the full
-/// byte codec (encode at `send`, [`FrameReader`] reassembly at
-/// `finish_round`), exercising exactly the framing the socket tier uses.
-#[derive(Debug)]
-pub struct ChannelTransport {
-    n: usize,
-    limits: RoundLimits,
-    /// `senders[from][to]` is the tx half of the `from -> to` link.
-    senders: Vec<Vec<mpsc::Sender<Vec<u8>>>>,
-    /// `receivers[to][from]` is the rx half of the `from -> to` link.
-    receivers: Vec<Vec<mpsc::Receiver<Vec<u8>>>>,
-    /// `readers[to][from]` reassembles the `from -> to` byte stream.
-    readers: Vec<Vec<FrameReader>>,
-    stats: TransportStats,
-}
-
-impl ChannelTransport {
-    /// A channel-matrix transport for `n` endpoints.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        let mut senders: Vec<Vec<mpsc::Sender<Vec<u8>>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut receivers: Vec<Vec<mpsc::Receiver<Vec<u8>>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        // Outer loop over senders, inner over recipients: `senders[from]`
-        // fills in ascending `to` order and `receivers[to]` in ascending
-        // `from` order, so both sides index as [first][second] directly.
-        for sender_row in &mut senders {
-            for receiver_row in &mut receivers {
-                let (tx, rx) = mpsc::channel();
-                sender_row.push(tx);
-                receiver_row.push(rx);
-            }
-        }
-        ChannelTransport {
-            n,
-            limits: RoundLimits::default(),
-            senders,
-            receivers,
-            readers: (0..n)
-                .map(|_| (0..n).map(|_| FrameReader::new()).collect())
-                .collect(),
-            stats: TransportStats::default(),
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn begin_round(&mut self, limits: &RoundLimits) {
-        self.limits = *limits;
-    }
-
-    fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError> {
-        assert!(to < self.n, "recipient {to} out of range");
-        meter_send(&mut self.stats, &self.limits, &frame);
-        let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + frame.payload.len());
-        encode_frame(
-            FrameKind::Data,
-            from,
-            frame.declared_bits,
-            &frame.payload,
-            &mut bytes,
-        );
-        self.senders[from][to]
-            .send(bytes)
-            .map_err(|_| TransportError::Disconnected {
-                from,
-                to,
-                detail: "channel closed".to_string(),
-            })
-    }
-
-    fn finish_round(&mut self) -> Result<Vec<Vec<(usize, Frame)>>, TransportError> {
-        let mut out: Vec<Vec<(usize, Frame)>> = (0..self.n).map(|_| Vec::new()).collect();
-        for (to, inbox) in out.iter_mut().enumerate() {
-            // Draining links in ascending sender order gives the contract's
-            // sorted-by-sender, per-link-FIFO delivery directly.
-            for from in 0..self.n {
-                let reader = &mut self.readers[to][from];
-                while let Ok(bytes) = self.receivers[to][from].try_recv() {
-                    reader.push(&bytes);
-                }
-                while let Some(raw) = reader.next_frame()? {
-                    if raw.kind != FrameKind::Data {
-                        return Err(TransportError::Protocol {
-                            detail: format!("unexpected {:?} frame on channel link", raw.kind),
-                        });
-                    }
-                    if raw.sender != from {
-                        return Err(TransportError::Protocol {
-                            detail: format!(
-                                "frame from sender {} on the {from} -> {to} link",
-                                raw.sender
-                            ),
-                        });
-                    }
-                    inbox.push((
-                        from,
-                        Frame {
-                            declared_bits: raw.declared_bits,
-                            payload: raw.payload,
-                        },
-                    ));
-                }
-                if reader.pending_bytes() > 0 {
-                    return Err(TransportError::Protocol {
-                        detail: format!(
-                            "{} trailing bytes on the {from} -> {to} link at end of round",
-                            reader.pending_bytes()
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-}
-
 /// How long socket accepts and reads may block before the transport gives
 /// up and reports [`TransportError::Disconnected`] — the "never a hang"
 /// half of the fault contract.
@@ -601,6 +326,23 @@ const TCP_DEADLINE: Duration = Duration::from_secs(10);
 /// lazily on first use (announced by a [`FrameKind::Hello`] frame), and a
 /// [`FrameKind::EndRound`] marker on every established link each round so
 /// receivers know when a link is drained without global knowledge.
+///
+/// Contract (pinned by `crates/sim/tests/transport_equivalence.rs`):
+///
+/// 1. A round is [`begin_round`](Self::begin_round), then any number of
+///    [`send`](Self::send) calls, then one
+///    [`finish_round`](Self::finish_round).
+/// 2. `finish_round` returns one frame list per recipient, **sorted by
+///    sender with per-link FIFO order** — the order of the engine's
+///    sequential inbox merge, making delivery bit-identical to
+///    [`TransportSpec::Local`].
+/// 3. Under [`SendPolicy::Strict`] with a cap, `send` enforces the cap on
+///    the frame's `declared_bits` with the simulated tier's exact
+///    assertion wording (so the failure classifies as the same typed
+///    budget error); physical bytes are metered in [`TransportStats`],
+///    never gated.
+/// 4. A broken or closed peer surfaces as `Err(TransportError)` — never a
+///    hang (socket reads and accepts carry deadlines).
 #[derive(Debug)]
 pub struct TcpTransport {
     n: usize,
@@ -652,6 +394,139 @@ impl TcpTransport {
             pending_accepts: vec![0; n],
             dead: vec![false; n],
             stats: TransportStats::default(),
+        }
+    }
+
+    /// Number of endpoints.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Starts a round under the given limits.
+    pub fn begin_round(&mut self, limits: &RoundLimits) {
+        self.limits = *limits;
+    }
+
+    /// Ships one frame from endpoint `from` to endpoint `to`, dialing the
+    /// link on its first frame. A closed endpoint or a failed dial or
+    /// write is [`TransportError::Disconnected`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the model's budget assertion if the frame's declared
+    /// bits exceed the round's cap under [`SendPolicy::Strict`].
+    pub fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError> {
+        assert!(to < self.n, "recipient {to} out of range");
+        if self.dead[from] || self.dead[to] {
+            let closed = if self.dead[from] { from } else { to };
+            return Err(TransportError::Disconnected {
+                from,
+                to,
+                detail: format!("endpoint {closed} is closed"),
+            });
+        }
+        self.ensure_link(from, to)?;
+        meter_send(&mut self.stats, &self.limits, &frame);
+        let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + frame.payload.len());
+        encode_frame(
+            FrameKind::Data,
+            from,
+            frame.declared_bits,
+            &frame.payload,
+            &mut bytes,
+        );
+        let stream = self.outgoing[from]
+            .get_mut(&to)
+            .expect("link established above");
+        stream
+            .write_all(&bytes)
+            .map_err(|e| TransportError::Disconnected {
+                from,
+                to,
+                detail: format!("write failed: {e}"),
+            })
+    }
+
+    /// Completes the round and returns the per-recipient `(sender, frame)`
+    /// lists, sorted by sender with per-link FIFO order.
+    pub fn finish_round(&mut self) -> Result<Vec<Vec<(usize, Frame)>>, TransportError> {
+        // End-of-round markers on every established link, after all data
+        // writes — receivers drain each link up to its marker.
+        for from in 0..self.n {
+            if self.dead[from] {
+                continue;
+            }
+            let mut marker = Vec::with_capacity(FRAME_HEADER_BYTES);
+            encode_frame(FrameKind::EndRound, from, 0, &[], &mut marker);
+            for (&to, stream) in &mut self.outgoing[from] {
+                stream
+                    .write_all(&marker)
+                    .map_err(|e| TransportError::Disconnected {
+                        from,
+                        to,
+                        detail: format!("end-of-round write failed: {e}"),
+                    })?;
+                self.stats.wire_bytes += marker.len() as u64;
+            }
+        }
+        self.accept_pending()?;
+        let mut out: Vec<Vec<(usize, Frame)>> = (0..self.n).map(|_| Vec::new()).collect();
+        for (to, inbox) in out.iter_mut().enumerate() {
+            // BTreeMap iteration is sender-ascending: the contract's order.
+            for (&from, (stream, reader)) in &mut self.incoming[to] {
+                loop {
+                    let raw = read_one_frame(stream, reader, from, to)?;
+                    match raw.kind {
+                        FrameKind::EndRound => break,
+                        FrameKind::Data => {
+                            if raw.sender != from {
+                                return Err(TransportError::Protocol {
+                                    detail: format!(
+                                        "frame from sender {} on the {from} -> {to} link",
+                                        raw.sender
+                                    ),
+                                });
+                            }
+                            inbox.push((
+                                from,
+                                Frame {
+                                    declared_bits: raw.declared_bits,
+                                    payload: raw.payload,
+                                },
+                            ));
+                        }
+                        FrameKind::Hello => {
+                            return Err(TransportError::Protocol {
+                                detail: "hello frame on an established link".to_string(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Lifetime physical-layer counters.
+    #[must_use]
+    pub fn stats(&self) -> &TransportStats {
+        &self.stats
+    }
+
+    /// Fault injection: tears down endpoint `v` (drops its listener and
+    /// every link touching it), so subsequent traffic involving `v` fails
+    /// with [`TransportError::Disconnected`].
+    pub fn close_endpoint(&mut self, v: usize) {
+        self.dead[v] = true;
+        self.listeners[v] = None;
+        self.outgoing[v].clear();
+        self.incoming[v].clear();
+        self.pending_accepts[v] = 0;
+        for links in &mut self.outgoing {
+            links.remove(&v);
+        }
+        for links in &mut self.incoming {
+            links.remove(&v);
         }
     }
 
@@ -794,128 +669,6 @@ fn read_one_frame(
     }
 }
 
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn begin_round(&mut self, limits: &RoundLimits) {
-        self.limits = *limits;
-    }
-
-    fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError> {
-        assert!(to < self.n, "recipient {to} out of range");
-        if self.dead[from] || self.dead[to] {
-            let closed = if self.dead[from] { from } else { to };
-            return Err(TransportError::Disconnected {
-                from,
-                to,
-                detail: format!("endpoint {closed} is closed"),
-            });
-        }
-        self.ensure_link(from, to)?;
-        meter_send(&mut self.stats, &self.limits, &frame);
-        let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + frame.payload.len());
-        encode_frame(
-            FrameKind::Data,
-            from,
-            frame.declared_bits,
-            &frame.payload,
-            &mut bytes,
-        );
-        let stream = self.outgoing[from]
-            .get_mut(&to)
-            .expect("link established above");
-        stream
-            .write_all(&bytes)
-            .map_err(|e| TransportError::Disconnected {
-                from,
-                to,
-                detail: format!("write failed: {e}"),
-            })
-    }
-
-    fn finish_round(&mut self) -> Result<Vec<Vec<(usize, Frame)>>, TransportError> {
-        // End-of-round markers on every established link, after all data
-        // writes — receivers drain each link up to its marker.
-        for from in 0..self.n {
-            if self.dead[from] {
-                continue;
-            }
-            let mut marker = Vec::with_capacity(FRAME_HEADER_BYTES);
-            encode_frame(FrameKind::EndRound, from, 0, &[], &mut marker);
-            for (&to, stream) in &mut self.outgoing[from] {
-                stream
-                    .write_all(&marker)
-                    .map_err(|e| TransportError::Disconnected {
-                        from,
-                        to,
-                        detail: format!("end-of-round write failed: {e}"),
-                    })?;
-                self.stats.wire_bytes += marker.len() as u64;
-            }
-        }
-        self.accept_pending()?;
-        let mut out: Vec<Vec<(usize, Frame)>> = (0..self.n).map(|_| Vec::new()).collect();
-        for (to, inbox) in out.iter_mut().enumerate() {
-            // BTreeMap iteration is sender-ascending: the contract's order.
-            for (&from, (stream, reader)) in &mut self.incoming[to] {
-                loop {
-                    let raw = read_one_frame(stream, reader, from, to)?;
-                    match raw.kind {
-                        FrameKind::EndRound => break,
-                        FrameKind::Data => {
-                            if raw.sender != from {
-                                return Err(TransportError::Protocol {
-                                    detail: format!(
-                                        "frame from sender {} on the {from} -> {to} link",
-                                        raw.sender
-                                    ),
-                                });
-                            }
-                            inbox.push((
-                                from,
-                                Frame {
-                                    declared_bits: raw.declared_bits,
-                                    payload: raw.payload,
-                                },
-                            ));
-                        }
-                        FrameKind::Hello => {
-                            return Err(TransportError::Protocol {
-                                detail: "hello frame on an established link".to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-
-    fn close_endpoint(&mut self, v: usize) {
-        self.dead[v] = true;
-        self.listeners[v] = None;
-        self.outgoing[v].clear();
-        self.incoming[v].clear();
-        self.pending_accepts[v] = 0;
-        for links in &mut self.outgoing {
-            links.remove(&v);
-        }
-        for links in &mut self.incoming {
-            links.remove(&v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,7 +680,7 @@ mod tests {
         }
     }
 
-    fn drive_round(transport: &mut dyn Transport) -> Vec<Vec<(usize, Frame)>> {
+    fn drive_round(transport: &mut TcpTransport) -> Vec<Vec<(usize, Frame)>> {
         transport.begin_round(&RoundLimits {
             cap: Some(BandwidthCap::new(16)),
             policy: SendPolicy::Strict,
@@ -954,78 +707,62 @@ mod tests {
     }
 
     #[test]
-    fn all_tiers_deliver_sorted_by_sender_with_link_fifo() {
-        for spec in TransportSpec::all() {
-            let mut transport = spec.build(3);
-            assert_eq!(
-                drive_round(transport.as_mut()),
-                expected_inboxes(),
-                "{spec}"
-            );
-            // Tier-independent counters agree across tiers.
-            let stats = transport.stats();
-            assert_eq!(stats.frames, 4, "{spec}");
-            assert_eq!(stats.payload_bytes, 5, "{spec}");
-            assert_eq!(stats.packets, 4, "{spec}");
-        }
+    fn tcp_delivers_sorted_by_sender_with_link_fifo() {
+        let mut transport = TcpTransport::new(3);
+        assert_eq!(drive_round(&mut transport), expected_inboxes());
+        let stats = transport.stats();
+        assert_eq!(stats.frames, 4);
+        assert_eq!(stats.payload_bytes, 5);
+        assert_eq!(stats.packets, 4);
     }
 
     #[test]
     fn empty_rounds_and_multiple_rounds_work() {
-        for spec in TransportSpec::all() {
-            let mut transport = spec.build(2);
-            for round in 0..3 {
-                transport.begin_round(&RoundLimits::default());
-                if round == 1 {
-                    transport.send(0, 1, frame(3, &[round])).unwrap();
-                }
-                let inboxes = transport.finish_round().unwrap();
-                if round == 1 {
-                    assert_eq!(inboxes[1], vec![(0, frame(3, &[1]))], "{spec}");
-                } else {
-                    assert!(inboxes.iter().all(Vec::is_empty), "{spec}");
-                }
+        let mut transport = TcpTransport::new(2);
+        for round in 0..3 {
+            transport.begin_round(&RoundLimits::default());
+            if round == 1 {
+                transport.send(0, 1, frame(3, &[round])).unwrap();
+            }
+            let inboxes = transport.finish_round().unwrap();
+            if round == 1 {
+                assert_eq!(inboxes[1], vec![(0, frame(3, &[1]))]);
+            } else {
+                assert!(inboxes.iter().all(Vec::is_empty));
             }
         }
     }
 
     #[test]
-    fn strict_cap_violation_uses_the_budget_wording_on_every_tier() {
-        for spec in TransportSpec::all() {
-            let mut transport = spec.build(2);
-            transport.begin_round(&RoundLimits {
-                cap: Some(BandwidthCap::new(8)),
-                policy: SendPolicy::Strict,
-                model: "CONGEST",
-            });
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = transport.send(0, 1, frame(9, &[0xFF, 0x01]));
-            }))
-            .unwrap_err();
-            let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert_eq!(
-                message, "message of 9 bits exceeds CONGEST cap of 8 bits",
-                "{spec}"
-            );
-        }
+    fn strict_cap_violation_uses_the_budget_wording() {
+        let mut transport = TcpTransport::new(2);
+        transport.begin_round(&RoundLimits {
+            cap: Some(BandwidthCap::new(8)),
+            policy: SendPolicy::Strict,
+            model: "CONGEST",
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = transport.send(0, 1, frame(9, &[0xFF, 0x01]));
+        }))
+        .unwrap_err();
+        let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(message, "message of 9 bits exceeds CONGEST cap of 8 bits");
     }
 
     #[test]
     fn fragment_policy_ships_oversized_frames_and_meters_packets() {
-        for spec in [TransportSpec::Channel, TransportSpec::Tcp] {
-            let mut transport = spec.build(2);
-            transport.begin_round(&RoundLimits {
-                cap: Some(BandwidthCap::new(8)),
-                policy: SendPolicy::Fragment,
-                model: "CONGEST",
-            });
-            // 24 declared bits at an 8-bit cap: 3 logical fragments; the
-            // 3-byte payload at a 1-byte MTU: 3 physical packets.
-            transport.send(0, 1, frame(24, &[1, 2, 3])).unwrap();
-            let inboxes = transport.finish_round().unwrap();
-            assert_eq!(inboxes[1], vec![(0, frame(24, &[1, 2, 3]))], "{spec}");
-            assert_eq!(transport.stats().packets, 3, "{spec}");
-        }
+        let mut transport = TcpTransport::new(2);
+        transport.begin_round(&RoundLimits {
+            cap: Some(BandwidthCap::new(8)),
+            policy: SendPolicy::Fragment,
+            model: "CONGEST",
+        });
+        // 24 declared bits at an 8-bit cap: 3 logical fragments; the
+        // 3-byte payload at a 1-byte MTU: 3 physical packets.
+        transport.send(0, 1, frame(24, &[1, 2, 3])).unwrap();
+        let inboxes = transport.finish_round().unwrap();
+        assert_eq!(inboxes[1], vec![(0, frame(24, &[1, 2, 3]))]);
+        assert_eq!(transport.stats().packets, 3);
     }
 
     #[test]
@@ -1112,8 +849,11 @@ mod tests {
         assert_eq!(TransportSpec::default(), TransportSpec::Local);
         for spec in TransportSpec::all() {
             assert_eq!(spec.to_string(), spec.name());
-            assert_eq!(spec.build(2).name(), spec.name());
         }
+        assert_eq!(
+            TransportSpec::all().map(TransportSpec::name),
+            ["local", "tcp"]
+        );
     }
 
     #[test]

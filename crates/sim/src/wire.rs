@@ -8,9 +8,8 @@
 //!
 //! Since the transport tier (`DESIGN.md` §7), `Wire` is also the *codec*:
 //! [`Wire::wire_encode`] / [`Wire::wire_decode`] turn a payload into the
-//! self-delimiting byte string the byte transports
-//! ([`crate::transport::ChannelTransport`], [`crate::transport::TcpTransport`])
-//! ship inside length-prefixed frames. The encoding is deterministic and
+//! self-delimiting byte string the socket transport
+//! ([`crate::transport::TcpTransport`]) ships inside length-prefixed frames. The encoding is deterministic and
 //! round-trips exactly (`decode(encode(x)) == x`, property-tested in
 //! `crates/sim/tests/proptest_wire.rs`). Integers use LEB128 varints, so the
 //! physical width tracks the value's [`Wire::wire_bits`] width up to the

@@ -1,25 +1,29 @@
 //! Cross-transport determinism properties: for every [`Topology`] policy,
 //! a scripted multi-round conversation produces bit-identical inboxes and
 //! [`SimMetrics`] whether the messages travel through the in-memory
-//! reference ([`TransportSpec::Local`]), the channel matrix
-//! ([`TransportSpec::Channel`]), or real localhost sockets
+//! reference ([`TransportSpec::Local`]) or real localhost sockets
 //! ([`TransportSpec::Tcp`]) — on the sequential and the parallel backend,
-//! with caps swept down to `⌈log₂ n⌉` bits. Intentional cap-violation
-//! panics carry the identical payload on every tier.
+//! with caps swept down to `⌈log₂ n⌉` bits. The socket tier's byte
+//! counters are recomputed independently from the delivered inboxes.
+//! Intentional cap-violation panics carry the identical payload on both
+//! tiers.
 
 use dcl_graphs::{generators, Graph};
 use dcl_par::Backend;
 use dcl_sim::{
     AllPairsTopology, BandwidthCap, Inboxes, MachineTopology, NeighborTopology, RoundEngine,
-    SendPolicy, SimMetrics, Topology, TransportSpec, TransportStats,
+    SendPolicy, SimMetrics, Topology, TransportSpec, TransportStats, Wire,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One scripted run: `rounds` unicast rounds over `topo` (each endpoint
-/// messages a deterministic, `salt`-dependent subset of its peers), then —
-/// on neighbor topologies — one broadcast round. Returns every inbox and
-/// the accumulated metrics plus the transport's byte-level statistics.
+/// One scripted run: `rounds` unicast rounds over `topo`, each endpoint
+/// messaging a deterministic, `salt`-dependent subset of its peers with
+/// payloads as wide as the policy allows — up to the cap under
+/// [`SendPolicy::Strict`], full 64-bit words (which fragment) under
+/// [`SendPolicy::Fragment`] — so payloads span several MTU-sized packets.
+/// Returns every inbox and the accumulated metrics plus the transport's
+/// byte-level statistics.
 #[allow(clippy::too_many_arguments)]
 fn scripted_run<T: Topology>(
     spec: TransportSpec,
@@ -31,6 +35,10 @@ fn scripted_run<T: Topology>(
     rounds: usize,
     salt: u64,
 ) -> (Vec<Inboxes<u64>>, SimMetrics, Option<TransportStats>) {
+    let width = match policy {
+        SendPolicy::Strict => cap.bits().min(64),
+        SendPolicy::Fragment => 64,
+    };
     let mut engine = RoundEngine::new(backend);
     engine.set_transport(spec);
     let mut metrics = SimMetrics::default();
@@ -40,13 +48,34 @@ fn scripted_run<T: Topology>(
             peers_of(u)
                 .into_iter()
                 .filter(|&v| !(u + v + r).is_multiple_of(3))
-                .map(|v| (v, ((u as u64) * 131 + v as u64 + salt + r as u64) % 7 + 1))
+                .map(|v| {
+                    let h = ((u * 131 + v + r) as u64)
+                        .wrapping_add(salt)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (v, (h >> (64 - width)).max(1))
+                })
                 .collect::<Vec<(usize, u64)>>()
         });
         history.push(inboxes);
     }
     let stats = engine.transport_stats().copied();
     (history, metrics, stats)
+}
+
+/// `(frames, payload_bytes, packets)` recounted from the delivered inboxes
+/// alone: one frame per message, its `wire_encode` length in payload bytes,
+/// and `max(1, ⌈len / ⌈cap/8⌉⌉)` packets at the cap's whole-byte MTU.
+fn recount(history: &[Inboxes<u64>], cap: BandwidthCap) -> (u64, u64, u64) {
+    let mtu = (cap.bits() as usize).div_ceil(8).max(1);
+    let (mut frames, mut payload_bytes, mut packets) = (0, 0, 0);
+    for (_, msg) in history.iter().flatten().flatten() {
+        let mut bytes = Vec::new();
+        msg.wire_encode(&mut bytes);
+        frames += 1;
+        payload_bytes += bytes.len() as u64;
+        packets += bytes.len().div_ceil(mtu).max(1) as u64;
+    }
+    (frames, payload_bytes, packets)
 }
 
 /// The (spec, backend) grid every property sweeps, with the local
@@ -84,8 +113,8 @@ proptest! {
             cap, SendPolicy::Strict, 3, salt,
         );
         prop_assert!(ref_stats.is_none(), "the local tier has no byte layer");
-        let mut channel_stats = None;
-        let mut tcp_stats = None;
+        let expected = recount(&reference, cap);
+        prop_assert_eq!(expected.0, ref_metrics.messages, "one frame per logical message");
         for (spec, backend) in grid() {
             let (history, metrics, stats) = scripted_run(
                 spec, backend, &topo, &peers, cap, SendPolicy::Strict, 3, salt,
@@ -94,21 +123,17 @@ proptest! {
             prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}/{:?}", spec, backend);
             match spec {
                 TransportSpec::Local => prop_assert!(stats.is_none()),
-                TransportSpec::Channel => channel_stats = stats,
-                TransportSpec::Tcp => tcp_stats = stats,
+                TransportSpec::Tcp => {
+                    let s = stats.unwrap();
+                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected, "{:?}", backend);
+                }
             }
         }
-        // The byte tiers agree on everything above the physical layer; only
-        // wire_bytes (TCP handshakes and end-of-round markers) may differ.
-        let (ch, tcp) = (channel_stats.unwrap(), tcp_stats.unwrap());
-        prop_assert_eq!(ch.frames, tcp.frames);
-        prop_assert_eq!(ch.payload_bytes, tcp.payload_bytes);
-        prop_assert_eq!(ch.packets, tcp.packets);
-        prop_assert_eq!(ch.frames, ref_metrics.messages, "one frame per logical message");
     }
 
     /// Clique (all-pairs) topology under the fragmenting policy: wide
-    /// payloads fragment identically on every tier.
+    /// payloads fragment identically on both tiers, and the socket tier
+    /// meters one frame per logical message with MTU-sized packets.
     #[test]
     fn clique_fragmentation_is_transport_identical(
         n in 4usize..16,
@@ -122,12 +147,20 @@ proptest! {
             TransportSpec::Local, Backend::Sequential, &topo, &peers,
             cap, SendPolicy::Fragment, 2, salt,
         );
+        let expected = recount(&reference, cap);
         for (spec, backend) in grid() {
-            let (history, metrics, _) = scripted_run(
+            let (history, metrics, stats) = scripted_run(
                 spec, backend, &topo, &peers, cap, SendPolicy::Fragment, 2, salt,
             );
             prop_assert_eq!(&history, &reference, "inboxes diverged on {}/{:?}", spec, backend);
             prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}/{:?}", spec, backend);
+            match spec {
+                TransportSpec::Local => prop_assert!(stats.is_none()),
+                TransportSpec::Tcp => {
+                    let s = stats.unwrap();
+                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected, "{:?}", backend);
+                }
+            }
         }
     }
 
@@ -155,9 +188,8 @@ proptest! {
 }
 
 /// A strict-policy cap violation panics with the identical, byte-for-byte
-/// assertion message whether the round ships through memory, channels, or
-/// sockets — the panic fires at validation time, before any tier-specific
-/// code runs.
+/// assertion message whether the round ships through memory or sockets —
+/// the panic fires at validation time, before any tier-specific code runs.
 #[test]
 fn cap_violation_panics_identically_on_every_tier() {
     let g: Graph = generators::ring(8);

@@ -1,8 +1,8 @@
 //! The cross-transport oracle: every scenario in the workspace, driven
 //! through the `Runner` front door with the transport axis swept, produces
-//! a `Report` bit-identical to the in-memory `Local` reference on the
-//! channel tier and on real localhost sockets — colors, metrics, extras,
-//! and typed rejections alike. The transport layer is physical plumbing;
+//! a `Report` bit-identical to the in-memory `Local` reference on real
+//! localhost sockets — colors, metrics, extras, and typed rejections
+//! alike. The transport layer is physical plumbing;
 //! if any model-visible observable shifted with the tier, the determinism
 //! contract (`DESIGN.md` §7) would be broken.
 
@@ -12,17 +12,18 @@ use distributed_coloring::runner::{CapSpec, Cell, GraphSpec, RunError, Runner};
 use distributed_coloring::scenarios::{self, DeltaScenario};
 use distributed_coloring::{Backend, TransportSpec};
 
-/// Splits a transport-swept grid into (local reference, byte-tier) pairs:
-/// with transports innermost, cells come in consecutive groups of three
-/// that differ only in the tier.
-fn tier_groups(cells: &[Cell]) -> impl Iterator<Item = (&Cell, &[Cell])> {
-    cells.chunks(TransportSpec::all().len()).map(|chunk| {
-        assert_eq!(chunk[0].transport, TransportSpec::Local);
-        (&chunk[0], &chunk[1..])
+/// Splits a transport-swept grid into (local reference, socket) pairs:
+/// with transports innermost, cells come in consecutive pairs that differ
+/// only in the tier.
+fn tier_pairs(cells: &[Cell]) -> impl Iterator<Item = (&Cell, &Cell)> {
+    cells.chunks_exact(TransportSpec::all().len()).map(|pair| {
+        assert_eq!(pair[0].transport, TransportSpec::Local);
+        assert_eq!(pair[1].transport, TransportSpec::Tcp);
+        (&pair[0], &pair[1])
     })
 }
 
-/// Asserts that a byte-tier cell's outcome matches the local reference in
+/// Asserts that a socket cell's outcome matches the local reference in
 /// every model-visible observable.
 fn assert_cell_matches(reference: &Cell, cell: &Cell, context: &str) {
     match (&reference.outcome, &cell.outcome) {
@@ -63,23 +64,21 @@ fn all_scenarios_are_transport_identical() {
             .transports(TransportSpec::all())
             .catch_panics(true)
             .run();
-        assert_eq!(sweep.cells.len(), 2 * 3, "caps x transports");
-        for (reference, byte_cells) in tier_groups(&sweep.cells) {
+        assert_eq!(sweep.cells.len(), 2 * 2, "caps x transports");
+        for (reference, cell) in tier_pairs(&sweep.cells) {
             assert!(
                 reference.outcome.is_ok(),
                 "{}: the reference cell must solve this input, got {:?}",
                 sweep.scenario,
                 reference.outcome
             );
-            for cell in byte_cells {
-                let context = format!("{} on {}/{}", sweep.scenario, cell.transport, cell.cap);
-                assert_cell_matches(reference, cell, &context);
-            }
+            let context = format!("{} on {}/{}", sweep.scenario, cell.transport, cell.cap);
+            assert_cell_matches(reference, cell, &context);
         }
     }
 }
 
-/// The parallel backend composes with the byte tiers: backend × transport
+/// The parallel backend composes with the socket tier: backend × transport
 /// cells all match the sequential-local reference.
 #[test]
 fn backends_and_transports_compose() {
@@ -89,7 +88,7 @@ fn backends_and_transports_compose() {
             .backends([Backend::Sequential, Backend::Parallel(3)])
             .transports(TransportSpec::all())
             .run();
-        assert_eq!(sweep.cells.len(), 2 * 3, "backends x transports");
+        assert_eq!(sweep.cells.len(), 2 * 2, "backends x transports");
         let reference = &sweep.cells[0];
         assert_eq!(
             (reference.backend, reference.transport),
@@ -107,7 +106,7 @@ fn backends_and_transports_compose() {
 
 /// Typed rejections are tier-independent: the Δ-coloring scenario rejects a
 /// Brooks obstruction (an odd cycle) with the same lossless `DeltaError` on
-/// every transport.
+/// both transports.
 #[test]
 fn typed_rejections_are_transport_identical() {
     let sweep = Runner::new(&DeltaScenario::default())
@@ -115,7 +114,7 @@ fn typed_rejections_are_transport_identical() {
         .transports(TransportSpec::all())
         .catch_panics(true)
         .run();
-    assert_eq!(sweep.cells.len(), 3);
+    assert_eq!(sweep.cells.len(), 2);
     let mut rejections = Vec::new();
     for cell in &sweep.cells {
         match &cell.outcome {
