@@ -1,15 +1,16 @@
-//! Produces the committed scale baseline `BENCH_scale.json`: generator
-//! throughput at 10⁵–10⁶ nodes, sequential-vs-parallel round execution, the
-//! full Theorem 1.1 coloring on scale instances, and the `dcl_delta`
-//! Δ-coloring on the 10⁴-node expander (the `delta_scale` criterion group),
-//! with the machine profile needed to interpret the numbers (on a
-//! single-core runner the parallel backend can only tie the sequential one;
-//! the baseline records whatever was measured).
+//! `experiments scale`: the scale tier recorded in `BENCH_scale.json` —
+//! generator throughput at 10⁵–10⁶ nodes, sequential-vs-parallel round
+//! execution, the full Theorem 1.1 coloring on scale instances, and the
+//! `dcl_delta` Δ-coloring on the 10⁴-node expander, with the machine
+//! profile needed to interpret the numbers (on a single-core runner the
+//! parallel backend can only tie the sequential one; the baseline records
+//! whatever was measured).
 //!
 //! ```text
-//! cargo run -p dcl_bench --bin scale_baseline --release -- [out.json] [--quick]
+//! cargo run --release -p dcl_bench --bin experiments -- scale [--json out.json] [--quick]
 //! ```
 //!
+//! The document goes to stdout, and also to `out.json` under `--json`.
 //! `--quick` skips the long power-law coloring (for PR-gating CI runs); the
 //! committed baseline is produced by a full run.
 
@@ -73,8 +74,7 @@ fn time_coloring(workload: String, g: &Graph, threads: usize) -> PairRow {
     }
 }
 
-/// Times the `dcl_delta` Δ-coloring on both backends (the committed row for
-/// the `delta_scale` group of `benches/bench_scale.rs`).
+/// Times the `dcl_delta` Δ-coloring on both backends.
 fn time_delta(workload: String, g: &Graph, threads: usize) -> PairRow {
     use dcl_delta::{delta_color, DeltaColoringConfig};
     let t = Instant::now();
@@ -99,20 +99,13 @@ fn time_delta(workload: String, g: &Graph, threads: usize) -> PairRow {
     }
 }
 
-fn main() {
-    let mut out_path = String::from("BENCH_scale.json");
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
+/// Runs the tier, prints the `bench_scale/v1` document and, given a path,
+/// writes it there.
+pub fn run(json_out: Option<&str>, quick: bool) {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    eprintln!("scale_baseline: {threads} hardware threads, quick = {quick}");
+    eprintln!("scale: {threads} hardware threads, quick = {quick}");
 
     // --- Generator throughput. -------------------------------------------
     let mut gens = Vec::new();
@@ -167,6 +160,8 @@ fn main() {
     colorings.push(time_coloring("expander(100000, 8)".into(), &ex, threads));
     eprintln!("expander coloring done");
     let dg = generators::expander(10_000, 8, 1);
+    colorings.push(time_coloring("expander(10000, 8)".into(), &dg, threads));
+    eprintln!("10⁴-node expander coloring done");
     colorings.push(time_delta("delta: expander(10000, 8)".into(), &dg, threads));
     eprintln!("delta coloring done");
     if !quick {
@@ -219,7 +214,9 @@ fn main() {
     }
     let _ = writeln!(j, "  ]");
     let _ = writeln!(j, "}}");
-    std::fs::write(&out_path, &j).expect("write baseline json");
     println!("{j}");
-    eprintln!("wrote {out_path}");
+    if let Some(out_path) = json_out {
+        std::fs::write(out_path, &j).expect("write scale baseline json");
+        eprintln!("wrote {out_path}");
+    }
 }

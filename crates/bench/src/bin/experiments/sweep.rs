@@ -1,10 +1,10 @@
-//! CSV sweeps for plotting the round-complexity scalings (finer-grained
-//! than the `experiments` tables). Each series prints `series,x,rounds`
-//! rows to stdout; the series are declarative [`Runner`] programs over the
-//! CONGEST scenario.
+//! `experiments sweep`: CSV sweeps for plotting the round-complexity
+//! scalings (finer-grained than the experiment tables). Each series prints
+//! `series,x,rounds,iterations` rows to stdout; the series are declarative
+//! [`Runner`] programs over the CONGEST scenario.
 //!
 //! ```text
-//! cargo run -p dcl-bench --bin sweep --release > sweeps.csv
+//! cargo run --release -p dcl_bench --bin experiments -- sweep > sweeps.csv
 //! ```
 
 use dcl_coloring::scenario::CongestScenario;
@@ -26,7 +26,8 @@ fn print_series(series: &str, xs: &[usize], graphs: Vec<GraphSpec>) {
     }
 }
 
-fn main() {
+/// Prints every series, header first.
+pub fn run() {
     println!("series,x,rounds,iterations");
     // Rounds vs n at fixed degree (D grows slowly).
     let ns = [24usize, 32, 48, 64, 96, 128, 192, 256];

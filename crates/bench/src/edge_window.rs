@@ -7,8 +7,8 @@
 //! what the driver does for one edge in one window: a fresh cache, the
 //! `m + 1` seed bits of the slice in index order (the shared `s` bit
 //! last), both candidate overrides per bit from `form_with_fix`, and the
-//! smaller side committed with `update_forms_on_fix`. The benches report
-//! the window's time divided by [`EdgeShareWindow::EVALS`], i.e. per
+//! smaller side committed with `update_forms_on_fix`. `experiments bench`
+//! reports the window's time divided by [`EdgeShareWindow::EVALS`], i.e. per
 //! `edge_shares_cached` call.
 
 use dcl_derand::seed::PartialSeed;

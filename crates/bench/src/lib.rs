@@ -1,15 +1,19 @@
 //! Experiment harness: workloads and the experiment implementations (E1–E15
 //! of `DESIGN.md` §4, including the E12/E13 bandwidth sweeps enabled by
 //! `dcl_sim::ExecConfig`, the E14 transport-tier overhead table, and the
-//! E15 service-tier overhead table).
+//! E15 service-tier overhead table), plus the wall-clock fixtures of
+//! [`micro`].
 //!
 //! The paper is a theory paper without an empirical section, so every
 //! quantitative claim (potential invariants, progress guarantees, round
 //! bounds, memory bounds) is turned into an experiment here. The
 //! `experiments` binary prints one table per experiment and, under
 //! `--json`, records them in the `BENCH_experiments.json` layout;
-//! `DESIGN.md` §4 lists the paper claim each one tests. Criterion benches
-//! in `benches/` reuse the same workloads for wall-clock tracking.
+//! `DESIGN.md` §4 lists the paper claim each one tests. Its subcommands
+//! cover the rest of the harness: `experiments bench` times the
+//! [`micro::micro_benches`] fixtures (`BENCH_bench.json`),
+//! `experiments scale` records the scale tier (`BENCH_scale.json`), and
+//! `experiments sweep` prints CSV round-complexity series.
 //!
 //! The pipeline-level experiments (E4–E9, E12, E13) are declarative
 //! [`dcl_runner::Runner`] programs over the [`dcl_runner::Scenario`]
@@ -26,9 +30,9 @@
 //! pipeline spends its time:
 //!
 //! ```text
-//! # Kernel wall clock (shim criterion; same fixtures as BENCH_bench.json):
-//! cargo bench -p dcl_bench --bench bench_kernels
-//! cargo bench -p dcl_bench --bench bench_congest
+//! # Kernel wall clock (the BENCH_bench.json fixtures, one suite each):
+//! cargo run --release -p dcl_bench --bin experiments -- bench bench_kernels
+//! cargo run --release -p dcl_bench --bin experiments -- bench bench_congest
 //!
 //! # Sampling profile of a real workload (needs samply or flamegraph
 //! # installed; debug symbols stay on in the release profile):
@@ -37,7 +41,8 @@
 //! flamegraph -- ./target/release/experiments
 //!
 //! # Let the autovectorizer use the recording machine's full ISA:
-//! RUSTFLAGS=-Ctarget-cpu=native cargo bench -p dcl_bench --bench bench_kernels
+//! RUSTFLAGS=-Ctarget-cpu=native cargo run --release -p dcl_bench \
+//!     --bin experiments -- bench bench_kernels
 //! ```
 //!
 //! Numbers are only comparable within one machine profile; the committed
@@ -68,6 +73,7 @@ use rand::SeedableRng;
 pub use dcl_runner::Table;
 
 pub mod edge_window;
+pub mod micro;
 
 /// Standard experiment instance: G(n,p) with (Δ+1) lists.
 pub fn gnp_instance(n: usize, p: f64, seed: u64) -> ListInstance {

@@ -16,7 +16,7 @@
 //! | `safety-comment` | every `unsafe` block/fn/impl is preceded by `// SAFETY:` |
 //! | `forbid-unsafe` | crate roots carry `#![forbid(unsafe_code)]`; the one unsafe crate (`dcl_par`) carries `#![deny(unsafe_op_in_unsafe_fn)]` instead |
 //! | `no-hash-iter` | no `HashMap`/`HashSet` in deterministic (simulator/driver) crates |
-//! | `no-wall-clock` | no `Instant`/`SystemTime` outside `dcl_bench`, the audited `dcl_sim::deadline` module, and the vendored criterion shim (which is not walked) |
+//! | `no-wall-clock` | no `Instant`/`SystemTime` outside `dcl_bench` and the audited `dcl_sim::deadline` module |
 //! | `no-print` | no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code |
 //! | `panic-wording` | panic messages containing the stem "exceed" classify unambiguously as Budget or safety-net under `run_protected`'s rules |
 //!
@@ -78,8 +78,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-wall-clock",
-        summary: "no Instant/SystemTime outside dcl_bench, dcl_sim::deadline and the \
-                  criterion shim",
+        summary: "no Instant/SystemTime outside dcl_bench and dcl_sim::deadline",
     },
     RuleInfo {
         name: "no-print",
@@ -568,7 +567,7 @@ fn parse_waivers(model: &SourceModel) -> Waivers {
 struct FileCtx {
     /// `crates/<name>` member name, or `"."` for the root facade.
     krate: String,
-    /// Under a `tests/` or `benches/` directory (integration tests).
+    /// Under a `tests/` directory (integration tests).
     test_file: bool,
     /// A binary/example target (`src/bin/`, `src/main.rs`, `examples/`).
     bin_file: bool,
@@ -584,7 +583,7 @@ fn file_ctx(path: &str) -> FileCtx {
     } else {
         (".".to_string(), &parts[..])
     };
-    let test_file = rest.first() == Some(&"tests") || rest.first() == Some(&"benches");
+    let test_file = rest.first() == Some(&"tests");
     let bin_file = rest.first() == Some(&"examples")
         || (rest.first() == Some(&"src") && rest.get(1) == Some(&"bin"))
         || rest == ["src", "main.rs"];
