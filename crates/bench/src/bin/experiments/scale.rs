@@ -1,10 +1,9 @@
 //! `experiments scale`: the scale tier recorded in `BENCH_scale.json` —
-//! generator throughput at 10⁵–10⁶ nodes, sequential-vs-parallel round
-//! execution, the full Theorem 1.1 coloring on scale instances, and the
-//! `dcl_delta` Δ-coloring on the 10⁴-node expander, with the machine
-//! profile needed to interpret the numbers (on a single-core runner the
-//! parallel backend can only tie the sequential one; the baseline records
-//! whatever was measured).
+//! generator throughput at 10⁵–10⁶ nodes, the full Theorem 1.1 coloring on
+//! scale instances on both backends, and the `dcl_delta` Δ-coloring on the
+//! 10⁴-node expander, with the machine profile needed to interpret the
+//! numbers (on a single-core runner the parallel backend can only tie the
+//! sequential one; the baseline records whatever was measured).
 //!
 //! ```text
 //! cargo run --release -p dcl_bench --bin experiments -- scale [--json out.json] [--quick]
@@ -15,7 +14,6 @@
 //! committed baseline is produced by a full run.
 
 use dcl_coloring::congest_coloring::{color_degree_plus_one, CongestColoringConfig};
-use dcl_congest::network::Network;
 use dcl_congest::Backend;
 use dcl_graphs::{generators, validation, Graph};
 use std::fmt::Write as _;
@@ -122,38 +120,6 @@ pub fn run(json_out: Option<&str>, quick: bool) {
         eprintln!("generators at n = {n} done");
     }
 
-    // --- Round execution, sequential vs parallel. ------------------------
-    let g = generators::power_law(100_000, 2.5, 4.0, 7);
-    let sender = |v: usize| -> Vec<(usize, u64)> {
-        g.neighbors(v)
-            .iter()
-            .map(|&u| (u, (v ^ u) as u64))
-            .collect()
-    };
-    const ROUNDS: usize = 10;
-    let mut seq_net = Network::with_default_cap(&g, 100_000);
-    let t = Instant::now();
-    let mut last_seq = None;
-    for _ in 0..ROUNDS {
-        last_seq = Some(seq_net.round(sender));
-    }
-    let seq_ms = ms(t);
-    let mut par_net = Network::with_backend(&g, seq_net.cap_bits(), Backend::Parallel(threads));
-    let t = Instant::now();
-    let mut last_par = None;
-    for _ in 0..ROUNDS {
-        last_par = Some(par_net.round(sender));
-    }
-    let par_ms = ms(t);
-    let rounds_row = PairRow {
-        workload: format!("{ROUNDS} full-fan-out rounds on power_law(100000, 2.5, 4)"),
-        sequential_ms: seq_ms,
-        parallel_ms: par_ms,
-        congest_rounds: ROUNDS as u64,
-        identical: last_seq == last_par && seq_net.metrics() == par_net.metrics(),
-    };
-    eprintln!("round execution done (seq {seq_ms:.0} ms, par {par_ms:.0} ms)");
-
     // --- Full colorings. --------------------------------------------------
     let mut colorings = Vec::new();
     let ex = generators::expander(100_000, 8, 1);
@@ -204,9 +170,6 @@ pub fn run(json_out: Option<&str>, quick: bool) {
             r.identical
         )
     };
-    let _ = writeln!(j, "  \"round_execution\": [");
-    let _ = writeln!(j, "    {}", pair(&rounds_row));
-    let _ = writeln!(j, "  ],");
     let _ = writeln!(j, "  \"coloring\": [");
     for (i, r) in colorings.iter().enumerate() {
         let comma = if i + 1 < colorings.len() { "," } else { "" };

@@ -147,10 +147,8 @@ pub fn clique_color(
             let leader = 0usize;
             // Ship the subgraph and lists to the leader (edge and list
             // entries as one message each; small instances skip routing).
-            // Every node assembles its own routing records — simultaneous
-            // local work in the real clique, so the preparation runs on the
-            // backend pool, with the per-node batches concatenated in node
-            // order (bit-identical to the sequential loop).
+            // Every node assembles its own routing records; the per-node
+            // batches are concatenated in node order.
             let node_msgs = |v: usize| -> Vec<(usize, usize, (u64, u64))> {
                 if !active[v] {
                     return Vec::new();
@@ -166,11 +164,7 @@ pub fn clique_color(
                 }
                 out
             };
-            let msgs: Vec<(usize, usize, (u64, u64))> =
-                dcl_sim::map_indexed(net.pool(), n, node_msgs)
-                    .into_iter()
-                    .flatten()
-                    .collect();
+            let msgs: Vec<(usize, usize, (u64, u64))> = (0..n).flat_map(node_msgs).collect();
             if message_count <= n {
                 let _ = net.lenzen_route(msgs);
             } else {

@@ -8,7 +8,7 @@
 //! instance where every node sends and receives at most `n` messages is
 //! delivered in `O(1)` (charged: 2) rounds.
 //!
-//! The runtime — backend fan-out, duplicate-recipient validation, cap
+//! The runtime — the round loop, duplicate-recipient validation, cap
 //! enforcement, cost metering — lives in [`dcl_sim`]; this module is the
 //! clique *policy*: all-pairs unicast ([`AllPairsTopology`]), the two-word
 //! default cap, and the Lenzen-routing cost model.
@@ -74,7 +74,7 @@ impl CliqueNetwork {
         CliqueNetwork::with_cap(n, BandwidthCap::two_words())
     }
 
-    /// Creates a clique with an explicit cap and round-execution backend.
+    /// Creates a clique with an explicit cap and local-computation backend.
     pub fn with_backend(n: usize, cap_bits: u32, backend: Backend) -> Self {
         let mut net = CliqueNetwork::new(n, cap_bits);
         net.set_backend(backend);
@@ -91,13 +91,14 @@ impl CliqueNetwork {
         net
     }
 
-    /// Switches the round-execution backend. Results are bit-identical
-    /// across backends; only wall-clock changes.
+    /// Switches the local-computation backend. Rounds always run on the
+    /// calling thread, so results are bit-identical across backends; only
+    /// the drivers' wall-clock changes.
     pub fn set_backend(&mut self, backend: Backend) {
         self.engine.set_backend(backend);
     }
 
-    /// The active round-execution backend.
+    /// The active local-computation backend.
     pub fn backend(&self) -> Backend {
         self.engine.backend()
     }
@@ -124,8 +125,8 @@ impl CliqueNetwork {
 
     /// The worker pool of a parallel backend (`None` under
     /// [`Backend::Sequential`]). The coloring driver uses it to evaluate
-    /// seed-segment candidates and assemble routing instances in parallel —
-    /// work every node performs simultaneously in the real clique.
+    /// seed-segment candidates in parallel — work every node performs
+    /// simultaneously in the real clique.
     pub fn pool(&self) -> Option<&Pool> {
         self.engine.pool()
     }
@@ -156,16 +157,16 @@ impl CliqueNetwork {
     /// # Panics
     ///
     /// Panics on out-of-range recipients, self-messages, duplicate
-    /// recipients, or oversized payloads.
-    /// Under [`Backend::Parallel`] the `sender` closures are evaluated on the
-    /// worker pool; validation and cost accounting happen in per-worker
-    /// [`CliqueMetrics`] accumulators reduced in node order, and messages are
-    /// merged into the inboxes in sender order — bit-identical to the
-    /// sequential backend. After a panic the metrics are unspecified.
+    /// recipients, or oversized payloads. After a panic the metrics are
+    /// unspecified.
+    ///
+    /// `sender` is called once per node, in node order, on the calling
+    /// thread under every backend; messages merge into the inboxes in
+    /// sender order.
     pub fn round<M, F>(&mut self, sender: F) -> Inboxes<M>
     where
-        M: Wire + Send,
-        F: Fn(usize) -> Vec<(usize, M)> + Sync,
+        M: Wire,
+        F: Fn(usize) -> Vec<(usize, M)>,
     {
         self.engine.message_round(
             &self.topo,
@@ -288,6 +289,22 @@ mod tests {
     fn parallel_self_message_panics() {
         let mut net = CliqueNetwork::with_backend(80, 128, Backend::Parallel(3));
         let _ = net.round(|v| if v == 41 { vec![(41, 1u32)] } else { vec![] });
+    }
+
+    #[test]
+    fn round_runs_a_non_sync_sender_once_per_node_in_order() {
+        // `Cell` is not `Sync`: rounds accept it because the senders run on
+        // the calling thread, even when the backend sizes a pool.
+        let mut net = CliqueNetwork::with_backend(40, 128, Backend::Parallel(2));
+        let calls = std::cell::Cell::new(0usize);
+        let inboxes = net.round(|v| {
+            assert_eq!(calls.get(), v, "senders run in node order");
+            calls.set(v + 1);
+            vec![((v + 1) % 40, v as u32)]
+        });
+        assert_eq!(calls.get(), 40);
+        assert_eq!(inboxes[0], vec![(39, 39)]);
+        assert_eq!(net.metrics().messages, 40);
     }
 
     #[test]

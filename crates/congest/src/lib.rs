@@ -16,9 +16,10 @@
 //!   implementation used on hot paths (identical results and identical round
 //!   costs; see `DESIGN.md` §2.4).
 //!
-//! Round execution can be switched between a sequential and a multi-threaded
-//! backend via [`Backend`] (see `DESIGN.md` §5): results are bit-identical,
-//! only wall-clock changes.
+//! The drivers' local computation between rounds can be switched between a
+//! sequential and a multi-threaded backend via [`Backend`] (rounds always
+//! run on the calling thread; see `DESIGN.md` §5): results are
+//! bit-identical, only wall-clock changes.
 //!
 //! # Examples
 //!

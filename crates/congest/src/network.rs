@@ -1,6 +1,6 @@
 //! Synchronous message-passing network with bandwidth enforcement.
 //!
-//! The runtime — backend fan-out, duplicate-send validation, cap
+//! The runtime — the round loop, duplicate-send validation, cap
 //! enforcement, cost metering — lives in [`dcl_sim`]; this module is the
 //! CONGEST *policy*: neighbor-only delivery ([`NeighborTopology`]), the
 //! paper's default cap formula, and the charged-traffic entry points the
@@ -81,7 +81,7 @@ impl<'g> Network<'g> {
         Network::with_cap(graph, BandwidthCap::default_for(graph.n(), color_space))
     }
 
-    /// Creates a network with an explicit cap and round-execution backend.
+    /// Creates a network with an explicit cap and local-computation backend.
     pub fn with_backend(graph: &'g Graph, cap_bits: u32, backend: Backend) -> Self {
         let mut net = Network::new(graph, cap_bits);
         net.set_backend(backend);
@@ -99,13 +99,14 @@ impl<'g> Network<'g> {
         net
     }
 
-    /// Switches the round-execution backend. Results (inboxes, metrics,
-    /// panics) are bit-identical across backends; only wall-clock changes.
+    /// Switches the local-computation backend. Rounds always run on the
+    /// calling thread, so inboxes, metrics and panics are bit-identical
+    /// across backends; only the drivers' wall-clock changes.
     pub fn set_backend(&mut self, backend: Backend) {
         self.engine.set_backend(backend);
     }
 
-    /// The active round-execution backend.
+    /// The active local-computation backend.
     pub fn backend(&self) -> Backend {
         self.engine.backend()
     }
@@ -138,11 +139,9 @@ impl<'g> Network<'g> {
     }
 
     /// The worker pool of a parallel backend (`None` under
-    /// [`Backend::Sequential`]). Algorithm drivers may use it to
-    /// parallelize *local* per-node computation between rounds — work that
-    /// in the real distributed system every node performs simultaneously
-    /// for free, and that therefore should scale with the same knob as the
-    /// round execution itself.
+    /// [`Backend::Sequential`]). Algorithm drivers use it for *local*
+    /// per-node computation between rounds — work that in the real
+    /// distributed system every node performs simultaneously for free.
     pub fn pool(&self) -> Option<&Pool> {
         self.engine.pool()
     }
@@ -175,12 +174,9 @@ impl<'g> Network<'g> {
     /// Runs one synchronous round. `sender(v)` returns the messages node `v`
     /// sends this round as `(neighbor, payload)` pairs.
     ///
-    /// Under [`Backend::Parallel`] the `sender` closures are evaluated on the
-    /// worker pool (hence the `Fn + Sync` bound); validation and cost
-    /// accounting happen in per-worker [`Metrics`] accumulators that are
-    /// reduced in node order afterwards, and messages are merged into the
-    /// inboxes in sender order — so inboxes and metrics are bit-identical to
-    /// the sequential backend.
+    /// `sender` is called once per node, in node order, on the calling
+    /// thread under every backend; messages merge into the inboxes in
+    /// sender order.
     ///
     /// # Panics
     ///
@@ -190,8 +186,8 @@ impl<'g> Network<'g> {
     /// unspecified.
     pub fn round<M, F>(&mut self, sender: F) -> Inboxes<M>
     where
-        M: Wire + Send,
-        F: Fn(NodeId) -> Vec<(NodeId, M)> + Sync,
+        M: Wire,
+        F: Fn(NodeId) -> Vec<(NodeId, M)>,
     {
         self.engine.message_round(
             &self.topo,
@@ -214,8 +210,8 @@ impl<'g> Network<'g> {
     /// width).
     pub fn fragmented_round<M, F>(&mut self, sender: F) -> Inboxes<M>
     where
-        M: Wire + Send,
-        F: Fn(NodeId) -> Vec<(NodeId, M)> + Sync,
+        M: Wire,
+        F: Fn(NodeId) -> Vec<(NodeId, M)>,
     {
         self.engine.message_round(
             &self.topo,
@@ -227,16 +223,16 @@ impl<'g> Network<'g> {
     }
 
     /// Convenience round: every node sends the *same* payload to all of its
-    /// neighbors (or stays silent with `None`). Parallelized like
-    /// [`Network::round`] under [`Backend::Parallel`].
+    /// neighbors (or stays silent with `None`), evaluated like
+    /// [`Network::round`].
     ///
     /// # Panics
     ///
     /// Panics if a payload exceeds the bandwidth cap.
     pub fn broadcast_round<M, F>(&mut self, f: F) -> Inboxes<M>
     where
-        M: Wire + Clone + Send,
-        F: Fn(NodeId) -> Option<M> + Sync,
+        M: Wire + Clone,
+        F: Fn(NodeId) -> Option<M>,
     {
         self.engine.broadcast_round(
             &self.topo,
@@ -251,8 +247,8 @@ impl<'g> Network<'g> {
     /// oversized-payload panic (see [`Network::fragmented_round`]).
     pub fn fragmented_broadcast_round<M, F>(&mut self, f: F) -> Inboxes<M>
     where
-        M: Wire + Clone + Send,
-        F: Fn(NodeId) -> Option<M> + Sync,
+        M: Wire + Clone,
+        F: Fn(NodeId) -> Option<M>,
     {
         self.engine.broadcast_round(
             &self.topo,
@@ -500,6 +496,25 @@ mod tests {
                 vec![]
             }
         });
+    }
+
+    #[test]
+    fn round_runs_a_non_sync_sender_once_per_node_in_order() {
+        // `Cell` is not `Sync`: rounds accept it because the senders run on
+        // the calling thread, even when the backend sizes a pool.
+        let g = generators::gnp(90, 0.1, 5);
+        let mut net = Network::with_backend(&g, 128, Backend::Parallel(2));
+        let calls = std::cell::Cell::new(0usize);
+        let inboxes = net.round(|v| {
+            assert_eq!(calls.get(), v, "senders run in node order");
+            calls.set(v + 1);
+            g.neighbors(v)
+                .iter()
+                .map(|&u| (u, v as u32))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(calls.get(), g.n());
+        assert!(inboxes[0].iter().all(|&(u, m)| m == u as u32));
     }
 
     #[test]

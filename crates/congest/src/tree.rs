@@ -36,7 +36,7 @@ pub fn convergecast_stepped<M, F>(
     mut combine: F,
 ) -> M
 where
-    M: Wire + Clone + Send + Sync,
+    M: Wire + Clone,
     F: FnMut(&M, &M) -> M,
 {
     let n = values.len();
@@ -104,7 +104,7 @@ where
 /// tree). Costs `tree.height` rounds.
 pub fn broadcast_stepped<M>(net: &mut Network<'_>, tree: &BfsTree, value: M) -> Vec<Option<M>>
 where
-    M: Wire + Clone + Send + Sync,
+    M: Wire + Clone,
 {
     let n = net.graph().n();
     let mut have: Vec<Option<M>> = vec![None; n];
@@ -152,43 +152,6 @@ where
         }
     }
     have
-}
-
-/// Pipelined vector aggregation: every node holds a `width`-entry `f64`
-/// vector; the component-wise sums arrive at the root. Charged
-/// `height + width − 1` rounds and `width` one-word messages per tree edge.
-pub fn aggregate_vec_charged(
-    net: &mut Network<'_>,
-    tree: &BfsTree,
-    values: &[Vec<f64>],
-    width: usize,
-) -> Vec<f64> {
-    let n = net.graph().n();
-    assert_eq!(values.len(), n, "one vector per node required");
-    let mut sum = vec![0.0; width];
-    let mut tree_edges = 0u64;
-    for v in 0..n {
-        if tree.contains(v) {
-            assert_eq!(
-                values[v].len(),
-                width,
-                "all vectors must have the declared width"
-            );
-            for (acc, x) in sum.iter_mut().zip(&values[v]) {
-                *acc += *x;
-            }
-            if v != tree.root {
-                tree_edges += 1;
-            }
-        }
-    }
-    // Every vector entry is one 64-bit word; at a sub-word cap each word
-    // fragments and the pipeline stretches accordingly.
-    let fragments = u64::from(net.cap().fragments(64));
-    let extra = (width as u64 * fragments).saturating_sub(1);
-    net.charge_rounds(u64::from(tree.height) + extra);
-    net.charge_payload_traffic(tree_edges * width as u64, 64);
-    sum
 }
 
 /// Pipelined vector aggregation over a whole forest: every tree aggregates in
@@ -326,14 +289,17 @@ mod tests {
 
     #[test]
     fn vector_aggregation_sums_and_charges_pipelined_rounds() {
+        use crate::bfs::build_bfs_forest;
         let g = generators::path(6);
         let mut net = Network::with_default_cap(&g, 2);
-        let tree = build_bfs_tree(&mut net, 0);
+        let forest = build_bfs_forest(&mut net);
+        assert_eq!(forest.trees.len(), 1);
         let base = net.rounds();
         let values: Vec<Vec<f64>> = (0..6).map(|v| vec![v as f64, 1.0, 0.5]).collect();
-        let sum = aggregate_vec_charged(&mut net, &tree, &values, 3);
-        assert_eq!(sum, vec![15.0, 6.0, 3.0]);
+        let sums = aggregate_vec_forest_charged(&mut net, &forest, &values, 3);
+        assert_eq!(sums, vec![vec![15.0, 6.0, 3.0]]);
         // height = 5, width = 3 → 5 + 2 = 7 rounds.
+        assert_eq!(forest.max_height(), 5);
         assert_eq!(net.rounds() - base, 7);
     }
 

@@ -205,8 +205,8 @@ pub fn derandomized_phase(
     // once per digit-pmf class of the candidate forms within a slice
     // window; the share slots give the parallel path a flat output buffer.
     // `map_chunks_with` hands each worker exclusive access to its chunk of
-    // scratch at the same deterministic boundaries as `map_chunks`, so
-    // results stay independent of the worker count.
+    // scratch at deterministic boundaries, so results stay independent of
+    // the worker count.
     let mut scratch: Vec<EdgeScratch> = edges
         .iter()
         .map(|_| EdgeScratch {

@@ -23,12 +23,6 @@ pub fn node_potential(conflict_degree: usize, candidates: usize) -> f64 {
     dcl_kernels::ratio::ratio(conflict_degree, candidates)
 }
 
-/// Upper bound on the initial potential: `Σ_v deg(v)/|L(v)| < n_active`.
-#[must_use]
-pub fn initial_potential_bound(active_nodes: usize) -> f64 {
-    active_nodes as f64
-}
-
 /// The per-phase potential budget of Lemma 2.6:
 /// `n_active / ⌈log₂ C⌉`.
 #[must_use]

@@ -88,11 +88,6 @@ impl PrefixState {
         self.c_bits
     }
 
-    /// Phases completed so far.
-    pub fn phases_done(&self) -> u32 {
-        self.prefix_len
-    }
-
     /// Whether all bits have been fixed.
     pub fn is_complete(&self) -> bool {
         self.prefix_len == self.c_bits

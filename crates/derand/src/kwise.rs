@@ -12,8 +12,6 @@
 //! to fold the perturbation into the ε-slack of Lemma 2.3 (see
 //! [`PolyFamily::with_guard_bits`]).
 
-use crate::seed::PartialSeed;
-
 /// Deterministic Miller–Rabin primality test, exact for all `u64` inputs
 /// (uses the standard 12-base witness set).
 #[must_use]
@@ -138,31 +136,6 @@ impl PolyFamily {
         for _ in 0..self.k {
             state = splitmix64(state);
             coeffs.push(state % self.prime);
-        }
-        PolyHash {
-            family: *self,
-            coeffs,
-        }
-    }
-
-    /// Draws a hash function from an explicit fully-fixed bit seed of length
-    /// [`PolyFamily::seed_len`]; each coefficient reads `⌈log₂ p⌉` bits and
-    /// reduces mod p.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the seed is incomplete or has the wrong length.
-    pub fn hash_from_seed(&self, seed: &PartialSeed) -> PolyHash {
-        assert_eq!(seed.len(), self.seed_len(), "seed length mismatch");
-        let width = (64 - self.prime.leading_zeros()) as usize;
-        let mut coeffs = Vec::with_capacity(self.k);
-        for c in 0..self.k {
-            let mut v = 0u64;
-            for j in 0..width {
-                let bit = seed.get(c * width + j).expect("seed must be fully fixed");
-                v |= u64::from(bit) << j;
-            }
-            coeffs.push(v % self.prime);
         }
         PolyHash {
             family: *self,
@@ -307,9 +280,6 @@ mod tests {
         // prime ≥ max(100, 128) → 131 → width 8 bits → seed 16 bits.
         assert_eq!(fam.prime(), 131);
         assert_eq!(fam.seed_len(), 16);
-        let seed = PartialSeed::from_u64(16, 0xabcd);
-        let h = fam.hash_from_seed(&seed);
-        assert!(h.eval(42) < 16);
     }
 
     #[test]

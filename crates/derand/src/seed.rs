@@ -92,17 +92,6 @@ impl PartialSeed {
             .collect()
     }
 
-    /// A copy with bit `i` fixed to `value` (for candidate evaluation).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`PartialSeed::fix`].
-    pub fn with_fixed(&self, i: usize, value: bool) -> Self {
-        let mut c = self.clone();
-        c.fix(i, value);
-        c
-    }
-
     /// The `len`-bit window starting at `start`, packed as `(fixed, values)`
     /// bitsets: bit `k` of `fixed` is set iff seed bit `start + k` is fixed,
     /// and then bit `k` of `values` holds its value (0 for free bits).
@@ -195,14 +184,6 @@ mod tests {
         });
         seen.sort_unstable();
         assert_eq!(seen, vec![0b010, 0b011, 0b110, 0b111]);
-    }
-
-    #[test]
-    fn with_fixed_does_not_mutate_original() {
-        let s = PartialSeed::new(2);
-        let t = s.with_fixed(1, true);
-        assert_eq!(s.get(1), None);
-        assert_eq!(t.get(1), Some(true));
     }
 
     #[test]

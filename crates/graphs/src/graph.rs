@@ -328,11 +328,6 @@ impl GraphBuilder {
         self.edges.contains(&key)
     }
 
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the graph.
     ///
     /// # Panics

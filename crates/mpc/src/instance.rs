@@ -9,7 +9,6 @@
 
 use crate::machine::Mpc;
 use crate::tools::{self, Dist};
-use dcl_graphs::Graph;
 
 /// Builds `(degree+1)` list entries `(node, color)` from a distributed edge
 /// set via within-set ranks (Observation 4.1). `edges` holds directed pairs
@@ -54,19 +53,18 @@ pub fn lists_from_edges(mpc: &mut Mpc, edges: &Dist<(u64, u64)>) -> Dist<(u64, u
     out
 }
 
-/// Reference wrapper: builds the same lists centrally from a [`Graph`]
-/// (used to validate [`lists_from_edges`] in tests and by callers that
-/// already hold the graph).
-pub fn reference_lists(g: &Graph) -> Vec<Vec<u64>> {
-    g.nodes()
-        .map(|v| (0..=g.degree(v) as u64).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcl_graphs::generators;
+    use dcl_graphs::{generators, Graph};
+
+    /// Builds the same lists centrally from a [`Graph`] (the oracle for
+    /// [`lists_from_edges`]).
+    fn reference_lists(g: &Graph) -> Vec<Vec<u64>> {
+        g.nodes()
+            .map(|v| (0..=g.degree(v) as u64).collect())
+            .collect()
+    }
 
     #[test]
     fn distributed_lists_match_reference() {

@@ -7,11 +7,11 @@
 //! [`Mpc::assert_storage`] for algorithms to declare their resident state
 //! (checked against the memory bound).
 //!
-//! The backend fan-out runs through the shared [`dcl_sim`] round engine
+//! Rounds ship through the shared [`dcl_sim`] round engine
 //! ([`dcl_sim::MachineTopology`] is the addressing policy: any machine may
 //! message any machine, repeatedly); the volume budgets are MPC-specific
-//! and are replayed message-by-message in machine order on the calling
-//! thread, since receive budgets couple different senders.
+//! and are replayed message-by-message in machine order, since receive
+//! budgets couple different senders.
 
 use dcl_par::{Backend, Pool};
 use dcl_sim::{
@@ -142,7 +142,7 @@ impl Mpc {
         }
     }
 
-    /// Creates a cluster with an explicit round-execution backend.
+    /// Creates a cluster with an explicit local-computation backend.
     pub fn with_backend(machines: usize, memory_words: usize, backend: Backend) -> Self {
         let mut mpc = Mpc::new(machines, memory_words);
         mpc.set_backend(backend);
@@ -159,13 +159,14 @@ impl Mpc {
         mpc
     }
 
-    /// Switches the round-execution backend. Results are bit-identical
-    /// across backends; only wall-clock changes.
+    /// Switches the local-computation backend. Rounds always run on the
+    /// calling thread, so results are bit-identical across backends; only
+    /// the drivers' wall-clock changes.
     pub fn set_backend(&mut self, backend: Backend) {
         self.engine.set_backend(backend);
     }
 
-    /// The active round-execution backend.
+    /// The active local-computation backend.
     pub fn backend(&self) -> Backend {
         self.engine.backend()
     }
@@ -228,40 +229,27 @@ impl Mpc {
     ///
     /// Panics if a machine sends or receives more than `O(S)` words or
     /// addresses an unknown machine.
-    /// Under [`Backend::Parallel`] the `sender` closures (and the per-message
-    /// [`WordSized::words`] sizing) are evaluated on the worker pool; the
-    /// send/receive budget checks are then replayed message-by-message in
-    /// machine order on the calling thread, so budgets, panics, metrics and
-    /// inboxes are bit-identical to the sequential backend.
+    ///
+    /// Every machine's `sender` is called first, in machine order on the
+    /// calling thread; the send/receive budget checks are then replayed
+    /// message-by-message in machine order, so a budget panic names the
+    /// first violation in that order.
     pub fn round<M, F>(&mut self, sender: F) -> Inboxes<M>
     where
-        M: WordSized + Wire + Send,
-        F: Fn(usize) -> Vec<(usize, M)> + Sync,
+        M: WordSized + Wire,
+        F: Fn(usize) -> Vec<(usize, M)>,
     {
         self.metrics.rounds += 1;
         let machines = self.machines();
         let budget = self.slack * self.memory_words;
-        // Shared fan-out: evaluate the senders (and the per-message
-        // `WordSized::words` sizing) on the pool; the volume-budget checks
-        // below are then replayed message-by-message in machine order.
-        let (outgoing, _) = self.engine.fan_out(
-            machines,
-            0,
-            &mut self.metrics,
-            |i| {
-                sender(i)
-                    .into_iter()
-                    .map(|(dst, msg)| (dst, msg.words(), msg))
-                    .collect::<Vec<_>>()
-            },
-            |_, _, _, _| 1,
-        );
+        let outgoing: Vec<Vec<(usize, M)>> = (0..machines).map(sender).collect();
         let mut received = vec![0usize; machines];
         let mut validated: Vec<Vec<(usize, M)>> = Vec::with_capacity(machines);
         for (i, msgs) in outgoing.into_iter().enumerate() {
             let mut sent = 0usize;
             let mut row = Vec::with_capacity(msgs.len());
-            for (dst, w, msg) in msgs {
+            for (dst, msg) in msgs {
+                let w = msg.words();
                 let _ = self.topo.route(i, dst);
                 sent += w;
                 received[dst] += w;
@@ -351,6 +339,28 @@ mod tests {
         // Many senders within their own budgets flood machine 99
         // (budget = slack 4 × S 2 = 8 words; the ninth word trips it).
         let _ = mpc.round(|i| if i < 9 { vec![(99usize, 1u64)] } else { vec![] });
+    }
+
+    #[test]
+    fn round_calls_every_sender_in_order_before_the_budget_replay() {
+        // `Cell` is not `Sync`: rounds accept it because the senders run on
+        // the calling thread, even when the backend sizes a pool. Machine 0
+        // breaks its send budget (8 words), yet every sender has run by the
+        // time the replay reports it.
+        let mut mpc = Mpc::with_backend(5, 2, dcl_par::Backend::Parallel(2));
+        let calls = std::cell::Cell::new(0usize);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mpc.round(|i| {
+                assert_eq!(calls.get(), i, "senders run in machine order");
+                calls.set(i + 1);
+                let count = if i == 0 { 9 } else { 1 };
+                (0..count).map(|_| ((i + 1) % 5, 1u64)).collect()
+            })
+        }))
+        .expect_err("machine 0 exceeds its send budget");
+        assert_eq!(calls.get(), 5);
+        let msg = panic.downcast_ref::<String>().expect("formatted payload");
+        assert!(msg.contains("machine 0 exceeded its send budget"), "{msg}");
     }
 
     #[test]

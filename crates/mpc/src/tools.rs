@@ -101,7 +101,7 @@ impl<T: Wire> Wire for Keyed<T> {
 /// merge-split network with `O(log² M)` rounds; see `DESIGN.md` §2.
 pub fn sort<T>(mpc: &mut Mpc, data: Dist<T>) -> Dist<T>
 where
-    T: Ord + Clone + WordSized + Wire + Send + Sync,
+    T: Ord + Clone + WordSized + Wire,
 {
     let p = mpc.machines();
     assert_eq!(data.len(), p, "one block per machine required");
@@ -163,7 +163,7 @@ where
 /// would overload machine 0 for large clusters), then one routing round.
 fn rebalance<T>(mpc: &mut Mpc, data: Dist<T>, block_size: usize) -> Dist<T>
 where
-    T: Ord + Clone + WordSized + Wire + Send + Sync,
+    T: Ord + Clone + WordSized + Wire,
 {
     let p = mpc.machines();
     // One single-word item per machine: its local count. The inclusive scan
@@ -192,7 +192,7 @@ where
 /// Constant-round regular-sampling sort on balanced blocks of distinct keys.
 fn sample_sort<T>(mpc: &mut Mpc, mut local: Dist<T>, block_size: usize) -> Dist<T>
 where
-    T: Ord + Clone + WordSized + Wire + Send + Sync,
+    T: Ord + Clone + WordSized + Wire,
 {
     let p = mpc.machines();
     let total: usize = local.iter().map(Vec::len).sum();
@@ -267,7 +267,7 @@ where
 /// any blocked sequence.
 fn bitonic_sort<T>(mpc: &mut Mpc, local: Dist<Keyed<T>>, block_size: usize) -> Dist<Keyed<T>>
 where
-    T: Ord + Clone + WordSized + Wire + Send + Sync,
+    T: Ord + Clone + WordSized + Wire,
 {
     let p = mpc.machines();
     let pp = p.next_power_of_two();
@@ -344,7 +344,7 @@ where
 /// aggregation-tree structure of Definition 5.4.
 pub fn prefix_sums<T, F>(mpc: &mut Mpc, data: &Dist<T>, mut op: F) -> Dist<T>
 where
-    T: Clone + WordSized + Wire + Send + Sync,
+    T: Clone + WordSized + Wire,
     F: FnMut(&T, &T) -> T,
 {
     let p = mpc.machines();
@@ -469,8 +469,8 @@ where
 /// This is the aggregation-tree workhorse of Definition 5.4.
 pub fn segmented_scan<T, K, KF, F>(mpc: &mut Mpc, data: &Dist<T>, mut key_of: KF, op: F) -> Dist<T>
 where
-    T: Clone + WordSized + Wire + Send + Sync,
-    K: PartialEq + Clone + Wire + Send + Sync,
+    T: Clone + WordSized + Wire,
+    K: PartialEq + Clone + Wire,
     KF: FnMut(&T) -> K,
     F: Fn(&T, &T) -> T,
 {

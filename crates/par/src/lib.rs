@@ -1,22 +1,23 @@
-//! Std-only scoped fork-join thread pool shared by the three simulators.
+//! Std-only scoped fork-join thread pool for the drivers' local computation.
 //!
 //! The build image has no crates.io access, so instead of rayon this crate
-//! provides the minimal deterministic parallel primitive the simulators need:
+//! provides the minimal deterministic parallel primitive the drivers need:
 //! evaluate a pure per-index function over `0..jobs` on a fixed set of worker
 //! threads and hand the results back *in index order*. The [`Backend`] enum is
 //! the user-facing knob: every simulator (`dcl_congest::Network`,
-//! `dcl_clique::CliqueNetwork`, `dcl_mpc::Mpc`) accepts it and uses a [`Pool`]
-//! when it is [`Backend::Parallel`].
+//! `dcl_clique::CliqueNetwork`, `dcl_mpc::Mpc`) accepts it and holds a
+//! [`Pool`] when it is [`Backend::Parallel`]. The pool runs local per-node
+//! computation between rounds (Lemma 2.6's per-edge conditional
+//! expectations, the seed-segment argmin); the rounds themselves always run
+//! on the calling thread.
 //!
 //! # Determinism contract
 //!
 //! Work is split into *chunks* with boundaries that depend only on the item
 //! count and the thread count, never on timing. Which worker executes which
 //! chunk is racy, but each chunk writes only its own result slot, so the
-//! values returned by [`Pool::map_chunks`] are bit-identical across runs and
-//! across thread counts with the same chunking. The simulators additionally
-//! reduce per-chunk cost counters in chunk order, which makes their metrics
-//! independent of scheduling too.
+//! values returned by [`Pool::map_chunks_with`] are bit-identical across runs
+//! and across thread counts with the same chunking.
 //!
 //! # Panics
 //!
@@ -31,11 +32,13 @@
 //! use dcl_par::{Backend, Pool};
 //!
 //! let pool = Pool::new(Backend::Parallel(4).threads());
-//! let squares = pool.map_chunks(10, |range| {
-//!     range.map(|i| i * i).collect::<Vec<_>>()
+//! let mut items: Vec<usize> = (0..10).collect();
+//! let sums = pool.map_chunks_with(&mut items, |_range, chunk| {
+//!     chunk.iter_mut().for_each(|x| *x *= *x);
+//!     chunk.iter().sum::<usize>()
 //! });
-//! let flat: Vec<usize> = squares.into_iter().flatten().collect();
-//! assert_eq!(flat, (0..10).map(|i| i * i).collect::<Vec<_>>());
+//! assert_eq!(items, (0..10).map(|i| i * i).collect::<Vec<_>>());
+//! assert_eq!(sums.iter().sum::<usize>(), 285);
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -46,18 +49,20 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Execution backend for a simulator's round loop.
+/// Execution backend for the drivers' local computation.
 ///
-/// `Sequential` is the default everywhere and preserves the exact historical
-/// behavior. `Parallel(t)` evaluates the per-node `sender` closures of a round
-/// on `t` threads (`0` = one per available core) and merges the results in
-/// node order, producing bit-identical inboxes, metrics and colorings.
+/// `Sequential` is the default everywhere. `Parallel(t)` sizes a [`Pool`] of
+/// `t` threads (`0` = one per available core) for the local per-node work
+/// between rounds — Lemma 2.6's per-edge conditional expectations and the
+/// seed-segment argmin — producing bit-identical metrics and colorings.
+/// Rounds run on the calling thread under every backend: a round costs
+/// little next to that local work, and pooling it measured slower.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Single-threaded round execution (the default).
+    /// Single-threaded local computation (the default).
     #[default]
     Sequential,
-    /// Multi-threaded round execution with the given thread count;
+    /// Multi-threaded local computation with the given thread count;
     /// `Parallel(0)` uses [`std::thread::available_parallelism`].
     Parallel(usize),
 }
@@ -170,7 +175,7 @@ struct Shared {
 /// A fixed-size fork-join pool of persistent worker threads.
 ///
 /// The pool holds `threads - 1` background workers; the thread calling
-/// [`Pool::run`] or [`Pool::map_chunks`] participates as the remaining
+/// [`Pool::run`] or [`Pool::map_chunks_with`] participates as the remaining
 /// worker, so `Pool::new(1)` spawns nothing and runs everything inline.
 pub struct Pool {
     shared: Arc<Shared>,
@@ -214,12 +219,6 @@ impl Pool {
             handles,
             threads,
         }
-    }
-
-    /// Creates the pool prescribed by `backend` (1 thread for
-    /// [`Backend::Sequential`]).
-    pub fn from_backend(backend: Backend) -> Self {
-        Pool::new(backend.threads())
     }
 
     /// Total worker count (background workers + the calling thread).
@@ -288,37 +287,13 @@ impl Pool {
         Ok(())
     }
 
-    /// Splits `0..items` into contiguous chunks (boundaries depend only on
-    /// `items` and the thread count), evaluates `f` on every chunk across the
-    /// pool, and returns the per-chunk results **in chunk order**.
-    pub fn map_chunks<R, F>(&self, items: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        let ranges = chunk_ranges(items, self.threads);
-        let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-        self.run(ranges.len(), &|j| {
-            let result = f(ranges[j].clone());
-            *slots[j].lock().unwrap() = Some(result);
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("run() returns only after every job completed")
-            })
-            .collect()
-    }
-
-    /// [`Pool::map_chunks`] over a mutable slice: `items` is pre-split at
-    /// the same deterministic `chunk_ranges` boundaries, and each chunk
-    /// job receives its index range plus **exclusive** mutable access to
-    /// the corresponding sub-slice (per-item scratch such as the derand
-    /// step's per-edge DP caches lives there, with no worker-count
-    /// dependence in the results). Per-chunk results return in chunk
-    /// order, exactly as `map_chunks`.
+    /// Splits `items` into contiguous chunks (boundaries depend only on
+    /// `items.len()` and the thread count), evaluates `f` on every chunk
+    /// across the pool, and returns the per-chunk results **in chunk
+    /// order**. Each chunk job receives its index range plus **exclusive**
+    /// mutable access to the corresponding sub-slice (per-item scratch such
+    /// as the derand step's per-edge DP caches lives there, with no
+    /// worker-count dependence in the results).
     pub fn map_chunks_with<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -443,6 +418,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// [`Pool::map_chunks_with`] over `items` unit slots: `f` sees only
+    /// each chunk's index range.
+    fn map_ranges<R: Send>(
+        pool: &Pool,
+        items: usize,
+        f: impl Fn(Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        pool.map_chunks_with(&mut vec![(); items], |range, _| f(range))
+    }
+
     #[test]
     fn backend_thread_counts() {
         assert_eq!(Backend::Sequential.threads(), 1);
@@ -465,11 +450,11 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_results_are_in_order_and_cover_all_items() {
+    fn map_chunks_with_results_are_in_order_and_cover_all_items() {
         for threads in [1, 2, 4, 7] {
             let pool = Pool::new(threads);
             for items in [0usize, 1, 63, 64, 65, 1000] {
-                let chunks = pool.map_chunks(items, |r| r.collect::<Vec<_>>());
+                let chunks = map_ranges(&pool, items, |r| r.collect::<Vec<_>>());
                 let flat: Vec<usize> = chunks.into_iter().flatten().collect();
                 assert_eq!(
                     flat,
@@ -498,8 +483,12 @@ mod tests {
                     scratch.iter().enumerate().all(|(i, &v)| v == i),
                     "threads {threads} items {items}"
                 );
-                // Same deterministic boundaries as map_chunks.
-                assert_eq!(starts, pool.map_chunks(items, |r| r.start));
+                // The deterministic `chunk_ranges` boundaries.
+                let expected: Vec<usize> = chunk_ranges(items, threads)
+                    .into_iter()
+                    .map(|r| r.start)
+                    .collect();
+                assert_eq!(starts, expected);
             }
         }
     }
@@ -508,7 +497,7 @@ mod tests {
     fn pool_is_reusable_across_batches() {
         let pool = Pool::new(3);
         for round in 0..50 {
-            let sums = pool.map_chunks(500, |r| r.map(|i| i + round).sum::<usize>());
+            let sums = map_ranges(&pool, 500, |r| r.map(|i| i + round).sum::<usize>());
             let total: usize = sums.into_iter().sum();
             assert_eq!(total, (0..500).map(|i| i + round).sum::<usize>());
         }
@@ -517,12 +506,12 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts_with_same_chunking() {
         // Same thread count => same chunk boundaries => identical outputs.
-        let a = Pool::new(4).map_chunks(777, |r| r.map(|i| i * 3).collect::<Vec<_>>());
-        let b = Pool::new(4).map_chunks(777, |r| r.map(|i| i * 3).collect::<Vec<_>>());
+        let triple = |r: Range<usize>| r.map(|i| i * 3).collect::<Vec<_>>();
+        let a = map_ranges(&Pool::new(4), 777, triple);
+        let b = map_ranges(&Pool::new(4), 777, triple);
         assert_eq!(a, b);
         // Across thread counts, the *flattened* result is still identical.
-        let c: Vec<usize> = Pool::new(2)
-            .map_chunks(777, |r| r.map(|i| i * 3).collect::<Vec<_>>())
+        let c: Vec<usize> = map_ranges(&Pool::new(2), 777, triple)
             .into_iter()
             .flatten()
             .collect();
@@ -543,7 +532,7 @@ mod tests {
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "job 17 failed");
         // The pool survives a panicking batch.
-        let ok = pool.map_chunks(10, |r| r.len());
+        let ok = map_ranges(&pool, 10, |r| r.len());
         assert_eq!(ok.iter().sum::<usize>(), 10);
     }
 
@@ -585,7 +574,7 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
-        let out = pool.map_chunks(200, |r| r.sum::<usize>());
+        let out = map_ranges(&pool, 200, |r| r.sum::<usize>());
         assert_eq!(out.iter().sum::<usize>(), (0..200).sum::<usize>());
     }
 

@@ -1,14 +1,16 @@
-//! The backend-aware round engine shared by every simulator.
+//! The round engine shared by every simulator.
 //!
-//! One generic fan-out owns everything the three models used to duplicate:
-//! evaluating the per-node `sender` closures (inline or on the
-//! [`dcl_par::Pool`]), per-worker scratch for the stamp-mark duplicate-send
-//! check, per-worker [`SimMetrics`] accumulators reduced in chunk order,
-//! deterministic panic propagation (via the pool's lowest-index rule), and
-//! the sender-order merge into per-recipient inboxes. A simulator is the
-//! engine plus a [`Topology`] policy plus whatever cost
-//! events its model charges — ~100 lines of policy instead of a hand-rolled
-//! runtime.
+//! One round loop owns everything the three models used to duplicate:
+//! evaluating the per-node `sender` closures in node order, the stamp-mark
+//! duplicate-send check, [`SimMetrics`] accounting, and the sender-order
+//! merge into per-recipient inboxes. A simulator is the engine plus a
+//! [`Topology`] policy plus whatever cost events its model charges — ~100
+//! lines of policy instead of a hand-rolled runtime.
+//!
+//! Rounds run on the calling thread. The engine's [`Pool`] (sized by the
+//! [`Backend`] knob) serves only the drivers' local computation between
+//! rounds, through [`RoundEngine::pool`] and [`argmin_f64`] (`DESIGN.md`
+//! §5).
 
 use crate::cap::BandwidthCap;
 use crate::metrics::SimMetrics;
@@ -36,10 +38,10 @@ pub enum SendPolicy {
     Fragment,
 }
 
-/// Backend-aware round executor: a [`Backend`] knob plus the worker pool it
-/// implies, and a [`TransportSpec`] knob selecting which transport tier
+/// Round executor: a [`TransportSpec`] knob selecting which transport tier
 /// carries each round's messages (in-memory reference or localhost
-/// sockets — results are bit-identical across tiers).
+/// sockets — results are bit-identical across tiers), plus the worker pool
+/// a [`Backend`] knob sizes for the drivers' local computation.
 #[derive(Debug)]
 pub struct RoundEngine {
     backend: Backend,
@@ -53,7 +55,7 @@ pub struct RoundEngine {
 }
 
 impl RoundEngine {
-    /// An engine with the given round-execution backend (on the
+    /// An engine whose local-computation pool follows `backend` (on the
     /// [`TransportSpec::Local`] reference transport).
     #[must_use]
     pub fn new(backend: Backend) -> Self {
@@ -67,14 +69,15 @@ impl RoundEngine {
         engine
     }
 
-    /// Switches the round-execution backend. Results (inboxes, metrics,
-    /// panics) are bit-identical across backends; only wall-clock changes.
+    /// Switches the local-computation backend. Rounds always run on the
+    /// calling thread, so results are bit-identical across backends; only
+    /// the drivers' wall-clock changes.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
         self.pool = backend.is_parallel().then(|| Pool::new(backend.threads()));
     }
 
-    /// The active round-execution backend.
+    /// The active local-computation backend.
     #[must_use]
     pub fn backend(&self) -> Backend {
         self.backend
@@ -133,7 +136,7 @@ impl RoundEngine {
     /// Ships one round of already-validated outgoing messages over the
     /// active transport and returns the per-recipient inboxes. On
     /// [`TransportSpec::Local`] this is the zero-copy sender-order
-    /// [`deliver`] merge; on [`TransportSpec::Tcp`] every payload crosses
+    /// `deliver` merge; on [`TransportSpec::Tcp`] every payload crosses
     /// the `Wire` codec inside a length-prefixed frame and the transport's
     /// sorted-by-sender/per-link-FIFO delivery reproduces the same order
     /// bit for bit.
@@ -212,85 +215,19 @@ impl RoundEngine {
     }
 
     /// The worker pool of a parallel backend (`None` under
-    /// [`Backend::Sequential`]). Algorithm drivers may use it to parallelize
-    /// *local* per-node computation between rounds — work that in the real
-    /// distributed system every node performs simultaneously for free, and
-    /// that therefore should scale with the same knob as the round execution
-    /// itself.
+    /// [`Backend::Sequential`]). Algorithm drivers use it for *local*
+    /// per-node computation between rounds — work that in the real
+    /// distributed system every node performs simultaneously for free.
     #[must_use]
     pub fn pool(&self) -> Option<&Pool> {
         self.pool.as_ref()
     }
 
-    /// Evaluates `produce(i)` for every `i in 0..n` — on the pool when the
-    /// backend is parallel, inline otherwise — running `validate` over each
-    /// item with per-worker mark scratch and a per-worker [`SimMetrics`]
-    /// accumulator. Accumulators are reduced into `metrics` in chunk order;
-    /// items come back in index order. Returns the items and the maximum
-    /// value `validate` returned (used as the fragment-stretched round cost;
-    /// 1 when `n == 0`).
-    ///
-    /// This is the single pool fan-out under all three simulators; panics
-    /// inside `produce`/`validate` propagate deterministically (the pool
-    /// re-raises the lowest-indexed panicking job).
-    pub fn fan_out<T, F, V>(
-        &self,
-        n: usize,
-        marks_len: usize,
-        metrics: &mut SimMetrics,
-        produce: F,
-        validate: V,
-    ) -> (Vec<T>, u32)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        V: Fn(usize, &T, &mut [usize], &mut SimMetrics) -> u32 + Sync,
-    {
-        let mut round_cost = 1u32;
-        let items = match &self.pool {
-            Some(pool) => {
-                let chunks = pool.map_chunks(n, |range| {
-                    let mut local = SimMetrics::default();
-                    let mut marks = vec![usize::MAX; marks_len];
-                    let mut max_cost = 1u32;
-                    let mut out = Vec::with_capacity(range.len());
-                    for u in range {
-                        let item = produce(u);
-                        max_cost = max_cost.max(validate(u, &item, &mut marks, &mut local));
-                        out.push(item);
-                    }
-                    (out, local, max_cost)
-                });
-                let mut items = Vec::with_capacity(n);
-                for (out, local, max_cost) in chunks {
-                    metrics.absorb(local);
-                    round_cost = round_cost.max(max_cost);
-                    items.extend(out);
-                }
-                items
-            }
-            None => {
-                let mut local = SimMetrics::default();
-                let mut marks = vec![usize::MAX; marks_len];
-                let mut out = Vec::with_capacity(n);
-                for u in 0..n {
-                    let item = produce(u);
-                    round_cost = round_cost.max(validate(u, &item, &mut marks, &mut local));
-                    out.push(item);
-                }
-                metrics.absorb(local);
-                out
-            }
-        };
-        (items, round_cost)
-    }
-
     /// Runs one synchronous unicast round over `topo`: `sender(u)` returns
     /// the messages endpoint `u` sends as `(recipient, payload)` pairs.
-    /// Validation (addressing, duplicate sends, cap) and cost accounting
-    /// happen in per-worker accumulators reduced in chunk order; messages
-    /// merge into the inboxes in sender order — bit-identical across
-    /// backends.
+    /// Senders run in node order on the calling thread, each followed by
+    /// its validation (addressing, duplicate sends, cap) and cost
+    /// accounting; messages merge into the inboxes in sender order.
     ///
     /// # Panics
     ///
@@ -307,12 +244,12 @@ impl RoundEngine {
         sender: F,
     ) -> Inboxes<M>
     where
-        M: Wire + Send,
+        M: Wire,
         T: Topology,
-        F: Fn(usize) -> Vec<(usize, M)> + Sync,
+        F: Fn(usize) -> Vec<(usize, M)>,
     {
         let n = topo.len();
-        let (outgoing, round_cost) = self.fan_out(
+        let (outgoing, round_cost) = fan_out(
             n,
             topo.marks_len(),
             metrics,
@@ -343,12 +280,12 @@ impl RoundEngine {
         f: F,
     ) -> Inboxes<M>
     where
-        M: Wire + Clone + Send,
-        F: Fn(usize) -> Option<M> + Sync,
+        M: Wire + Clone,
+        F: Fn(usize) -> Option<M>,
     {
         let n = topo.len();
         let graph = topo.graph();
-        let (payloads, round_cost) = self.fan_out(
+        let (payloads, round_cost) = fan_out(
             n,
             0,
             metrics,
@@ -403,9 +340,36 @@ impl RoundEngine {
     }
 }
 
+/// Evaluates `produce(u)` for every `u in 0..n` in index order, running
+/// `validate` over each item with one stamp-mark scratch of `marks_len`
+/// slots and accumulating its cost counters into `metrics`. Returns the
+/// items and the maximum value `validate` returned (the fragment-stretched
+/// round cost; 1 when `n == 0`).
+///
+/// This is the single round loop under all three simulators. It runs on
+/// the calling thread: rounds are cheap next to the drivers' local
+/// computation, which is what the pool is for (`DESIGN.md` §5).
+fn fan_out<T>(
+    n: usize,
+    marks_len: usize,
+    metrics: &mut SimMetrics,
+    produce: impl Fn(usize) -> T,
+    validate: impl Fn(usize, &T, &mut [usize], &mut SimMetrics) -> u32,
+) -> (Vec<T>, u32) {
+    let mut round_cost = 1u32;
+    let mut marks = vec![usize::MAX; marks_len];
+    let mut items = Vec::with_capacity(n);
+    for u in 0..n {
+        let item = produce(u);
+        round_cost = round_cost.max(validate(u, &item, &mut marks, metrics));
+        items.push(item);
+    }
+    (items, round_cost)
+}
+
 /// Merges per-sender outgoing message lists into per-recipient inboxes, in
-/// sender order (the order the sequential loop uses).
-pub fn deliver<M>(n: usize, outgoing: Vec<Vec<(usize, M)>>) -> Inboxes<M> {
+/// sender order.
+fn deliver<M>(n: usize, outgoing: Vec<Vec<(usize, M)>>) -> Inboxes<M> {
     let mut inboxes: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
     for (u, msgs) in outgoing.into_iter().enumerate() {
         for (v, msg) in msgs {
@@ -416,10 +380,10 @@ pub fn deliver<M>(n: usize, outgoing: Vec<Vec<(usize, M)>>) -> Inboxes<M> {
 }
 
 /// Evaluates `f(i)` for every `i in 0..jobs` across the pool — one job per
-/// index, unlike [`Pool::map_chunks`]'s 64-item chunking, so it parallelizes
-/// small batches of *expensive* jobs (e.g. the `2^λ` candidate evaluations
-/// of a seed segment) — and returns the results in index order.
-pub fn par_map_jobs<R, F>(pool: &Pool, jobs: usize, f: F) -> Vec<R>
+/// index, unlike [`Pool::map_chunks_with`]'s 64-item chunking, so it
+/// parallelizes small batches of *expensive* jobs (e.g. the `2^λ` candidate
+/// evaluations of a seed segment) — and returns the results in index order.
+fn par_map_jobs<R, F>(pool: &Pool, jobs: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -437,27 +401,6 @@ where
                 .expect("run() returns only after every job completed")
         })
         .collect()
-}
-
-/// Evaluates `f(i)` for every `i in 0..n` — chunked across `pool` when one
-/// is given, inline otherwise — and returns the results in index order.
-/// This is the backend dispatch for drivers' *local* per-node computation
-/// (e.g. assembling routing records): results are position-for-position
-/// identical to the sequential loop, so flattening them preserves the
-/// sequential emission order.
-pub fn map_indexed<R, F>(pool: Option<&Pool>, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match pool {
-        Some(pool) => pool
-            .map_chunks(n, |range| range.map(&f).collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect(),
-        None => (0..n).map(f).collect(),
-    }
 }
 
 /// Deterministic parallel argmin: evaluates `score(i)` for `i in 0..count`
@@ -519,28 +462,6 @@ mod tests {
         assert_eq!(inboxes[2], vec![(0, 20), (1, 30)]);
         assert_eq!(metrics.rounds, 1);
         assert_eq!(metrics.messages, 3);
-    }
-
-    #[test]
-    fn parallel_fan_out_is_bit_identical() {
-        let topo = AllPairsTopology::new(90);
-        let sender = |v: usize| -> Vec<(usize, u64)> {
-            (0..90usize)
-                .filter(|&u| u != v && (u + v).is_multiple_of(3))
-                .map(|u| (u, (v * 100 + u) as u64))
-                .collect()
-        };
-        let mut seq_engine = RoundEngine::new(Backend::Sequential);
-        let mut par_engine = RoundEngine::new(Backend::Parallel(4));
-        let cap = BandwidthCap::two_words();
-        let mut seq = SimMetrics::default();
-        let mut par = SimMetrics::default();
-        for _ in 0..3 {
-            let a = seq_engine.message_round(&topo, cap, SendPolicy::Strict, &mut seq, sender);
-            let b = par_engine.message_round(&topo, cap, SendPolicy::Strict, &mut par, sender);
-            assert_eq!(a, b);
-        }
-        assert_eq!(seq, par);
     }
 
     #[test]
@@ -610,6 +531,58 @@ mod tests {
     }
 
     #[test]
+    fn rounds_accumulate_into_the_callers_metrics() {
+        // The round loop accounts straight into the caller's metrics: counts
+        // add up across rounds and the widest message is a running maximum.
+        let topo = AllPairsTopology::new(3);
+        let mut engine = RoundEngine::new(Backend::Parallel(2));
+        let cap = BandwidthCap::two_words();
+        let mut metrics = SimMetrics::default();
+        let _ = engine.message_round(&topo, cap, SendPolicy::Strict, &mut metrics, |v| {
+            if v == 0 {
+                vec![(1usize, 0xFFu32), (2, 1)]
+            } else {
+                vec![]
+            }
+        });
+        let first = metrics;
+        assert_eq!((first.rounds, first.messages), (1, 2));
+        let _ = engine.message_round(&topo, cap, SendPolicy::Strict, &mut metrics, |v| {
+            vec![((v + 1) % 3, 1u32)]
+        });
+        assert_eq!(metrics.rounds, 2);
+        assert_eq!(metrics.messages, 5);
+        assert_eq!(metrics.bits, first.bits + 3);
+        assert_eq!(metrics.max_message_bits, first.max_message_bits);
+        assert_eq!(first.max_message_bits, 8);
+    }
+
+    #[test]
+    fn a_sender_may_reuse_a_recipient_of_an_earlier_sender() {
+        // One stamp-mark scratch serves the whole round: a mark left by
+        // sender `u` must not count as a duplicate for a later sender.
+        let g = generators::star(4);
+        let topo = NeighborTopology::new(&g);
+        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut metrics = SimMetrics::default();
+        let inboxes = engine.message_round(
+            &topo,
+            BandwidthCap::new(32),
+            SendPolicy::Strict,
+            &mut metrics,
+            |v| {
+                if v == 0 {
+                    vec![]
+                } else {
+                    vec![(0usize, v as u32)]
+                }
+            },
+        );
+        assert_eq!(inboxes[0], vec![(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(metrics.messages, 3);
+    }
+
+    #[test]
     fn argmin_is_identical_across_backends_and_breaks_ties_low() {
         let scores = [3.0f64, 1.0, 1.0, 2.0, 1.0];
         let seq = argmin_f64(None, scores.len(), |i| scores[i]);
@@ -625,15 +598,5 @@ mod tests {
         let pool = Pool::new(3);
         let out = par_map_jobs(&pool, 10, |i| i * i);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_indexed_matches_sequential_order_with_and_without_pool() {
-        let f = |i: usize| vec![i, i + 100];
-        let seq = map_indexed(None, 200, f);
-        let pool = Pool::new(4);
-        let par = map_indexed(Some(&pool), 200, f);
-        assert_eq!(seq, par);
-        assert_eq!(seq[7], vec![7, 107]);
     }
 }

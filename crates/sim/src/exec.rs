@@ -4,8 +4,8 @@ use crate::cap::BandwidthCap;
 use crate::transport::TransportSpec;
 use dcl_par::Backend;
 
-/// Simulator execution configuration: which backend runs the rounds, which
-/// bandwidth cap the model enforces, and which transport tier carries the
+/// Simulator execution configuration: which backend runs the drivers' local
+/// computation, which bandwidth cap the model enforces, and which transport tier carries the
 /// messages.
 ///
 /// Every driver config (`CongestColoringConfig`, `DecompColoringConfig`,
@@ -20,8 +20,8 @@ use dcl_par::Backend;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecConfig {
-    /// Round-execution backend (results are bit-identical across backends;
-    /// only wall-clock changes).
+    /// Local-computation backend (rounds always run on the calling thread;
+    /// results are bit-identical across backends, only wall-clock changes).
     pub backend: Backend,
     /// Per-message bandwidth cap override; `None` uses the model's default
     /// (`2·max(64, ⌈log₂ n⌉, ⌈log₂ C⌉)` bits in CONGEST, two words in the
@@ -34,7 +34,7 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Selects the round-execution backend (builder style).
+    /// Selects the local-computation backend (builder style).
     #[must_use]
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;

@@ -10,14 +10,14 @@
 //! - [`cap`] — [`BandwidthCap`]: the per-message bit cap with the paper's
 //!   default formula and the fragmentation rule for swept (small) caps;
 //! - [`metrics`] — [`SimMetrics`]: rounds / messages / bits /
-//!   max-message-width counters with the chunk-ordered parallel reduction;
+//!   max-message-width counters;
 //! - [`topology`] — the [`Topology`] policy trait (neighbor-only delivery
 //!   vs. all-pairs unicast vs. machine-addressed) with the
 //!   sorted-adjacency/stamp-mark duplicate-send validation;
-//! - [`engine`] — the [`RoundEngine`]: one generic backend-aware fan-out
-//!   owning pool execution, per-worker validation/accounting, deterministic
-//!   panic propagation and the sender-order inbox merge, plus the
-//!   deterministic [`argmin_f64`] used by the drivers' central loops;
+//! - [`engine`] — the [`RoundEngine`]: one sequential round loop owning
+//!   validation, accounting and the sender-order inbox merge, plus the
+//!   worker pool for the drivers' local computation and the deterministic
+//!   [`argmin_f64`] used by their central loops;
 //! - [`deadline`] — [`Deadline`]/[`deadline::park_tick`]: the workspace's
 //!   single audited wall-clock site, shared by every socket liveness
 //!   timeout (the TCP transport and the `dcl_service` server/client);
@@ -71,9 +71,7 @@ pub mod test_util;
 pub use cap::BandwidthCap;
 pub use dcl_par::{Backend, Pool};
 pub use deadline::Deadline;
-pub use engine::{
-    argmin_f64, deliver, map_indexed, par_map_jobs, Inboxes, RoundEngine, SendPolicy,
-};
+pub use engine::{argmin_f64, Inboxes, RoundEngine, SendPolicy};
 pub use exec::ExecConfig;
 pub use metrics::SimMetrics;
 pub use topology::{AllPairsTopology, MachineTopology, NeighborTopology, Topology};

@@ -7,10 +7,7 @@ use crate::wire::Wire;
 ///
 /// All three models meter the same quantities; only the *unit* of `bits`
 /// differs (literal bits in CONGEST and the clique; machine words in MPC,
-/// where `dcl_mpc` converts on read-out). Counters combine with `+` and
-/// `max`, which are associative and commutative, so the per-worker
-/// accumulators of a parallel round reduce in chunk order to exactly the
-/// sequential totals (the determinism contract of `DESIGN.md` §5.1).
+/// where `dcl_mpc` converts on read-out).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Number of synchronous rounds elapsed.
@@ -24,17 +21,6 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
-    /// Folds another counter into this one (sums plus max). Used to reduce
-    /// the per-worker accumulators of a parallel round in chunk order; since
-    /// `+` and `max` are commutative and associative, the reduction is
-    /// bit-identical to sequential accounting.
-    pub fn absorb(&mut self, other: SimMetrics) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-    }
-
     /// Accounts one message of `bits` bits under the model's cap.
     ///
     /// # Panics
@@ -134,26 +120,6 @@ mod tests {
             SimMetrics::wire_decode(&mut &bytes[..bytes.len() - 1]),
             None
         );
-    }
-
-    #[test]
-    fn absorb_sums_and_maxes() {
-        let mut a = SimMetrics {
-            rounds: 1,
-            messages: 2,
-            bits: 30,
-            max_message_bits: 12,
-        };
-        a.absorb(SimMetrics {
-            rounds: 3,
-            messages: 4,
-            bits: 5,
-            max_message_bits: 9,
-        });
-        assert_eq!(a.rounds, 4);
-        assert_eq!(a.messages, 6);
-        assert_eq!(a.bits, 35);
-        assert_eq!(a.max_message_bits, 12);
     }
 
     #[test]

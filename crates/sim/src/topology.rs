@@ -5,8 +5,8 @@
 //! CONGESTED CLIQUE unicasts between arbitrary distinct pairs, MPC addresses
 //! machines with volume budgets instead of per-pair constraints. The
 //! [`Topology`] trait captures exactly that discipline so the round engine
-//! ([`crate::engine::RoundEngine`]) can own everything else — backend
-//! fan-out, duplicate-send marking, cap enforcement, metrics — once.
+//! ([`crate::engine::RoundEngine`]) can own everything else — the round
+//! loop, duplicate-send marking, cap enforcement, metrics — once.
 
 use crate::cap::BandwidthCap;
 use crate::metrics::SimMetrics;
@@ -70,7 +70,7 @@ use dcl_graphs::Graph;
 /// assert_eq!(inboxes[3], vec![(0, 9u32)]);
 /// assert_eq!(metrics.rounds, 1);
 /// ```
-pub trait Topology: Sync {
+pub trait Topology {
     /// Number of endpoints (nodes or machines) in the model.
     fn len(&self) -> usize;
 
@@ -79,7 +79,7 @@ pub trait Topology: Sync {
         self.len() == 0
     }
 
-    /// Length of the per-worker duplicate-send mark scratch. `0` disables
+    /// Length of the duplicate-send mark scratch. `0` disables
     /// the duplicate check (models that allow repeated sends per pair).
     fn marks_len(&self) -> usize;
 

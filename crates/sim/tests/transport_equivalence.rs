@@ -2,11 +2,10 @@
 //! a scripted multi-round conversation produces bit-identical inboxes and
 //! [`SimMetrics`] whether the messages travel through the in-memory
 //! reference ([`TransportSpec::Local`]) or real localhost sockets
-//! ([`TransportSpec::Tcp`]) — on the sequential and the parallel backend,
-//! with caps swept down to `⌈log₂ n⌉` bits. The socket tier's byte
-//! counters are recomputed independently from the delivered inboxes.
-//! Intentional cap-violation panics carry the identical payload on both
-//! tiers.
+//! ([`TransportSpec::Tcp`]), with caps swept down to `⌈log₂ n⌉` bits. The
+//! socket tier's byte counters are recomputed independently from the
+//! delivered inboxes. Intentional cap-violation panics carry the identical
+//! payload on both tiers.
 
 use dcl_graphs::{generators, Graph};
 use dcl_par::Backend;
@@ -24,12 +23,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// [`SendPolicy::Fragment`] — so payloads span several MTU-sized packets.
 /// Returns every inbox and the accumulated metrics plus the transport's
 /// byte-level statistics.
-#[allow(clippy::too_many_arguments)]
 fn scripted_run<T: Topology>(
     spec: TransportSpec,
-    backend: Backend,
     topo: &T,
-    peers_of: &(dyn Fn(usize) -> Vec<usize> + Sync),
+    peers_of: &dyn Fn(usize) -> Vec<usize>,
     cap: BandwidthCap,
     policy: SendPolicy,
     rounds: usize,
@@ -39,7 +36,7 @@ fn scripted_run<T: Topology>(
         SendPolicy::Strict => cap.bits().min(64),
         SendPolicy::Fragment => 64,
     };
-    let mut engine = RoundEngine::new(backend);
+    let mut engine = RoundEngine::new(Backend::Sequential);
     engine.set_transport(spec);
     let mut metrics = SimMetrics::default();
     let mut history = Vec::new();
@@ -78,23 +75,11 @@ fn recount(history: &[Inboxes<u64>], cap: BandwidthCap) -> (u64, u64, u64) {
     (frames, payload_bytes, packets)
 }
 
-/// The (spec, backend) grid every property sweeps, with the local
-/// sequential run as the reference cell.
-fn grid() -> Vec<(TransportSpec, Backend)> {
-    let mut cells = Vec::new();
-    for spec in TransportSpec::all() {
-        for backend in [Backend::Sequential, Backend::Parallel(3)] {
-            cells.push((spec, backend));
-        }
-    }
-    cells
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// CONGEST (neighbor) topology: inboxes and metrics are bit-identical
-    /// on every (transport, backend) cell, at caps down to `⌈log₂ n⌉`.
+    /// on every transport tier, at caps down to `⌈log₂ n⌉`.
     #[test]
     fn neighbor_rounds_are_transport_identical(
         n in 6usize..28,
@@ -109,23 +94,23 @@ proptest! {
         let cap = BandwidthCap::new(cap_mult * log_n);
         let peers = |u: usize| g.neighbors(u).to_vec();
         let (reference, ref_metrics, ref_stats) = scripted_run(
-            TransportSpec::Local, Backend::Sequential, &topo, &peers,
+            TransportSpec::Local, &topo, &peers,
             cap, SendPolicy::Strict, 3, salt,
         );
         prop_assert!(ref_stats.is_none(), "the local tier has no byte layer");
         let expected = recount(&reference, cap);
         prop_assert_eq!(expected.0, ref_metrics.messages, "one frame per logical message");
-        for (spec, backend) in grid() {
+        for spec in TransportSpec::all() {
             let (history, metrics, stats) = scripted_run(
-                spec, backend, &topo, &peers, cap, SendPolicy::Strict, 3, salt,
+                spec, &topo, &peers, cap, SendPolicy::Strict, 3, salt,
             );
-            prop_assert_eq!(&history, &reference, "inboxes diverged on {}/{:?}", spec, backend);
-            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}/{:?}", spec, backend);
+            prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
+            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
             match spec {
                 TransportSpec::Local => prop_assert!(stats.is_none()),
                 TransportSpec::Tcp => {
                     let s = stats.unwrap();
-                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected, "{:?}", backend);
+                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected);
                 }
             }
         }
@@ -144,21 +129,21 @@ proptest! {
         let cap = BandwidthCap::new(cap_bits);
         let peers = |u: usize| (0..n).filter(|&v| v != u).collect::<Vec<_>>();
         let (reference, ref_metrics, _) = scripted_run(
-            TransportSpec::Local, Backend::Sequential, &topo, &peers,
+            TransportSpec::Local, &topo, &peers,
             cap, SendPolicy::Fragment, 2, salt,
         );
         let expected = recount(&reference, cap);
-        for (spec, backend) in grid() {
+        for spec in TransportSpec::all() {
             let (history, metrics, stats) = scripted_run(
-                spec, backend, &topo, &peers, cap, SendPolicy::Fragment, 2, salt,
+                spec, &topo, &peers, cap, SendPolicy::Fragment, 2, salt,
             );
-            prop_assert_eq!(&history, &reference, "inboxes diverged on {}/{:?}", spec, backend);
-            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}/{:?}", spec, backend);
+            prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
+            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
             match spec {
                 TransportSpec::Local => prop_assert!(stats.is_none()),
                 TransportSpec::Tcp => {
                     let s = stats.unwrap();
-                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected, "{:?}", backend);
+                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected);
                 }
             }
         }
@@ -174,15 +159,15 @@ proptest! {
         let cap = BandwidthCap::new(64);
         let peers = |u: usize| (0..machines).filter(|&v| v != u).collect::<Vec<_>>();
         let (reference, ref_metrics, _) = scripted_run(
-            TransportSpec::Local, Backend::Sequential, &topo, &peers,
+            TransportSpec::Local, &topo, &peers,
             cap, SendPolicy::Strict, 2, salt,
         );
-        for (spec, backend) in grid() {
+        for spec in TransportSpec::all() {
             let (history, metrics, _) = scripted_run(
-                spec, backend, &topo, &peers, cap, SendPolicy::Strict, 2, salt,
+                spec, &topo, &peers, cap, SendPolicy::Strict, 2, salt,
             );
-            prop_assert_eq!(&history, &reference, "inboxes diverged on {}/{:?}", spec, backend);
-            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}/{:?}", spec, backend);
+            prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
+            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
         }
     }
 }
