@@ -14,8 +14,9 @@
 //! can scrape the port. Runs until killed.
 
 use dcl_service::{scenario_names, Server, ServiceConfig};
-use std::net::SocketAddr;
 use std::process::exit;
+use std::slice::Iter;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage_error(message: &str) -> ! {
@@ -31,64 +32,31 @@ fn parse_config(args: &[String]) -> ServiceConfig {
     let mut config = ServiceConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--addr" => {
-                let raw = value_of("--addr");
-                let addr: SocketAddr = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad address '{raw}'")));
-                config = config.with_addr(addr);
-            }
-            "--workers" => {
-                let raw = value_of("--workers");
-                let workers: usize = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad worker count '{raw}'")));
-                config = config.with_workers(workers);
-            }
-            "--max-inflight" => {
-                let raw = value_of("--max-inflight");
-                let max: usize = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad inflight limit '{raw}'")));
-                config = config.with_max_inflight(max);
-            }
+        let limits = config.limits;
+        config = match flag.as_str() {
+            "--addr" => config.with_addr(value(&mut it, flag)),
+            "--workers" => config.with_workers(value(&mut it, flag)),
+            "--max-inflight" => config.with_max_inflight(value(&mut it, flag)),
             "--timeout-ms" => {
-                let raw = value_of("--timeout-ms");
-                let ms: u64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad timeout '{raw}'")));
-                config = config.with_request_timeout(Duration::from_millis(ms));
+                config.with_request_timeout(Duration::from_millis(value(&mut it, flag)))
             }
-            "--max-nodes" => {
-                let raw = value_of("--max-nodes");
-                let max: u64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad node limit '{raw}'")));
-                config = config.with_limits(config.limits.with_max_nodes(max));
-            }
-            "--max-edges" => {
-                let raw = value_of("--max-edges");
-                let max: u64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad edge limit '{raw}'")));
-                config = config.with_limits(config.limits.with_max_edges(max));
-            }
-            "--max-threads" => {
-                let raw = value_of("--max-threads");
-                let max: u64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("bad thread limit '{raw}'")));
-                config = config.with_limits(config.limits.with_max_threads(max));
-            }
+            "--max-nodes" => config.with_limits(limits.with_max_nodes(value(&mut it, flag))),
+            "--max-edges" => config.with_limits(limits.with_max_edges(value(&mut it, flag))),
+            "--max-threads" => config.with_limits(limits.with_max_threads(value(&mut it, flag))),
             other => usage_error(&format!("unknown flag '{other}'")),
-        }
+        };
     }
     config
+}
+
+/// Takes the argument after `flag` and parses it, or exits with a usage
+/// error.
+fn value<T: FromStr>(it: &mut Iter<'_, String>, flag: &str) -> T {
+    let raw = it
+        .next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value '{raw}' for {flag}")))
 }
 
 fn main() {

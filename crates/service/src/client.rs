@@ -10,8 +10,8 @@
 //! admitted request was answered.
 
 use crate::proto::{
-    check_hello, decode_response, encode_goodbye, encode_hello, encode_request, Reject, Request,
-    Response, ServiceError,
+    check_hello, decode_response, encode_goodbye, encode_hello, encode_request, read_tick,
+    ReadEvent, Reject, Request, Response, ServiceError,
 };
 use dcl_graphs::Graph;
 use dcl_runner::WireReport;
@@ -19,7 +19,7 @@ use dcl_sim::deadline::Deadline;
 use dcl_sim::transport::{FrameKind, FrameReader};
 use dcl_sim::ExecConfig;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -178,19 +178,7 @@ impl ServiceClient {
                     detail: format!("server said goodbye before answering request {id}"),
                 });
             }
-            if let Some(frame) = self.parse_frame()? {
-                match frame.kind {
-                    FrameKind::Data => self.file_response(decode_response(&frame)?),
-                    FrameKind::EndRound => self.server_done = true,
-                    FrameKind::Hello => {
-                        return Err(ServiceError::Protocol {
-                            detail: "unexpected hello after the handshake".to_string(),
-                        })
-                    }
-                }
-                continue;
-            }
-            self.read_tick(&deadline, "no response before the client deadline")?;
+            self.pump(&deadline, "no response before the client deadline")?;
         }
     }
 
@@ -224,26 +212,30 @@ impl ServiceClient {
         encode_goodbye(&mut out);
         self.write_bytes(&out)?;
         let deadline = Deadline::after(RESPONSE_TIMEOUT);
+        // Responses to requests nobody waited on are counted and filed like
+        // any other.
         while !self.server_done {
-            if let Some(frame) = self.parse_frame()? {
-                match frame.kind {
-                    FrameKind::Data => {
-                        // Responses to requests nobody waited on; count and
-                        // file them like any other.
-                        self.file_response(decode_response(&frame)?);
-                    }
-                    FrameKind::EndRound => self.server_done = true,
-                    FrameKind::Hello => {
-                        return Err(ServiceError::Protocol {
-                            detail: "unexpected hello after the handshake".to_string(),
-                        })
-                    }
-                }
-                continue;
-            }
-            self.read_tick(&deadline, "server never said goodbye")?;
+            self.pump(&deadline, "server never said goodbye")?;
         }
         Ok(self.stats)
+    }
+
+    /// Handles the next buffered frame — files a response or notes the
+    /// server's goodbye — or, with none buffered, reads once more.
+    fn pump(&mut self, deadline: &Deadline, context: &str) -> Result<(), ServiceError> {
+        let Some(frame) = self.parse_frame()? else {
+            return self.read_tick(deadline, context);
+        };
+        match frame.kind {
+            FrameKind::Data => self.file_response(decode_response(&frame)?),
+            FrameKind::EndRound => self.server_done = true,
+            FrameKind::Hello => {
+                return Err(ServiceError::Protocol {
+                    detail: "unexpected hello after the handshake".to_string(),
+                })
+            }
+        }
+        Ok(())
     }
 
     /// Counts and files one received response under its id, behind any
@@ -295,29 +287,15 @@ impl ServiceClient {
                 detail: context.to_string(),
             });
         }
-        let mut buf = [0u8; 4096];
-        match self.stream.read(&mut buf) {
-            Ok(0) => Err(ServiceError::Disconnected {
+        match read_tick(&mut self.stream, &mut self.reader)? {
+            ReadEvent::Eof => Err(ServiceError::Disconnected {
                 detail: "server closed the stream".to_string(),
             }),
-            Ok(n) => {
-                self.reader.push(&buf[..n]);
+            ReadEvent::Bytes(n) => {
                 self.stats.bytes_received += n as u64;
                 Ok(())
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(())
-            }
-            Err(e) => Err(ServiceError::Disconnected {
-                detail: format!("read failed: {e}"),
-            }),
+            ReadEvent::Idle => Ok(()),
         }
     }
 }

@@ -10,8 +10,8 @@
 //!   (never-panicking) decoders and the typed [`Reject`]/[`ServiceError`]
 //!   surfaces;
 //! - [`server`] — [`Server`]/[`ServerHandle`] and the `dcl_serve` binary:
-//!   a localhost TCP listener with concurrent connections, a bounded
-//!   sharded worker pool on [`dcl_par::Pool`], exact max-inflight
+//!   a localhost TCP listener with concurrent connections, one FIFO
+//!   worker thread per shard (`request.id % workers`), exact max-inflight
 //!   admission (shed with [`Reject::Busy`], never a stalled accept loop),
 //!   per-request deadlines, and graceful drain on shutdown;
 //! - [`client`] — [`ServiceClient`]: pipelined request ids over one

@@ -21,10 +21,12 @@
 
 use dcl_graphs::Graph;
 use dcl_runner::{WireReport, WireRunError};
-use dcl_sim::transport::{encode_frame, FrameKind, RawFrame};
+use dcl_sim::transport::{encode_frame, FrameKind, FrameReader, RawFrame};
 use dcl_sim::{Backend, BandwidthCap, ExecConfig, Wire};
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Read};
+use std::net::TcpStream;
 
 /// Magic bytes opening every connection ("DCL Service").
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"DCLS";
@@ -582,6 +584,43 @@ fn decode_data<T: Wire>(frame: &RawFrame, what: &str) -> Result<T, ServiceError>
         });
     }
     Ok(value)
+}
+
+/// One bounded socket read's outcome (see [`read_tick`]).
+pub(crate) enum ReadEvent {
+    /// This many bytes arrived and were pushed into the frame reader.
+    Bytes(usize),
+    /// The read timed out; check deadlines/flags and try again.
+    Idle,
+    /// The peer closed the stream.
+    Eof,
+}
+
+/// Reads once from `stream` (bounded by its read timeout) into `reader` —
+/// the one socket read the server and the client both use.
+pub(crate) fn read_tick(
+    stream: &mut TcpStream,
+    reader: &mut FrameReader,
+) -> Result<ReadEvent, ServiceError> {
+    let mut buf = [0u8; 4096];
+    match stream.read(&mut buf) {
+        Ok(0) => Ok(ReadEvent::Eof),
+        Ok(n) => {
+            reader.push(&buf[..n]);
+            Ok(ReadEvent::Bytes(n))
+        }
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(ReadEvent::Idle)
+        }
+        Err(e) => Err(ServiceError::Disconnected {
+            detail: format!("read failed: {e}"),
+        }),
+    }
 }
 
 #[cfg(test)]

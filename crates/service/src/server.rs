@@ -1,29 +1,29 @@
 //! The long-lived coloring server: localhost TCP listener, per-connection
-//! reader/writer threads, and one sharded worker pool shared by every
-//! connection.
+//! reader/writer threads, and one FIFO worker thread per shard shared by
+//! every connection.
 //!
 //! # Threading model
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection threads ──admit──▶ shared job queue
-//!                         (one reader + one                  │
-//!                          writer per socket)                ▼
-//!                               ▲                 dispatcher thread
-//!                               │                 (dcl_par::Pool, one
-//!                               └──── mpsc ◀───── shard per worker)
+//! accept loop ──spawns──▶ connection threads ──admit──▶ shard FIFOs (mpsc,
+//!                         (one reader + one              one per worker,
+//!                          writer per socket)            request.id % workers)
+//!                               ▲                                │
+//!                               │                                ▼
+//!                               └──── mpsc ◀───── one worker thread per shard
 //! ```
 //!
 //! Requests are admitted under an exact max-inflight limit — over the limit
 //! they are shed immediately with a typed [`Reject::Busy`] (never queued,
 //! so the accept loop and readers never stall behind slow work). Admitted
-//! jobs are batched by the dispatcher and sharded by `request.id %
-//! workers`: equal ids always land on the same shard, so a repeated request
-//! cannot race itself, and each shard runs its jobs in arrival order. The
-//! run itself goes through [`dcl_runner::run_protected`], so scenario
-//! panics and budget violations come back as typed rejects instead of
-//! killing a worker; before it, the configured [`RequestLimits`] bound
-//! what a request may declare (nodes, edges, threads) so remote input can
-//! never size an allocation or a thread pool.
+//! jobs go straight to shard `request.id % workers`, whose worker runs its
+//! FIFO in arrival order: equal ids never race, and a request on an idle
+//! shard starts at once, whatever the other shards are running. The run
+//! goes through [`dcl_runner::run_protected`], so scenario panics and
+//! budget violations come back as typed rejects instead of killing a
+//! worker; before it, the configured [`RequestLimits`] bound what a
+//! request may declare (nodes, edges, threads) so remote input can never
+//! size an allocation or a thread pool.
 //!
 //! # Determinism
 //!
@@ -37,23 +37,21 @@
 //! [`ServerHandle::shutdown`] (also run on drop) stops the accept loop,
 //! lets every connection finish its drain — each connection waits for its
 //! outstanding admitted jobs, answers them, then sends its goodbye frame —
-//! and only then stops the dispatcher. Clients always see every admitted
-//! request answered before the goodbye.
+//! and only then drops the shard senders; each worker empties its FIFO and
+//! exits. Clients see every admitted request answered before the goodbye.
 
 use crate::execute_request;
 use crate::proto::{
-    check_hello, decode_request, encode_goodbye, encode_hello, encode_response, Reject, Request,
-    RequestLimits, Response, ServiceError,
+    check_hello, decode_request, encode_goodbye, encode_hello, encode_response, read_tick,
+    ReadEvent, Reject, Request, RequestLimits, Response, ServiceError,
 };
-use dcl_par::Pool;
 use dcl_runner::{RunErrorKind, WireRunError};
 use dcl_sim::deadline::{park_tick, Deadline};
 use dcl_sim::transport::{FrameKind, FrameReader};
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -78,7 +76,7 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct ServiceConfig {
     /// Listen address (default `127.0.0.1:0` — loopback, OS-chosen port).
     pub addr: SocketAddr,
-    /// Worker shard count of the execution pool (clamped to ≥ 1).
+    /// Worker shard count: one FIFO worker thread each (clamped to ≥ 1).
     pub workers: usize,
     /// Admission limit: requests beyond this many in flight are shed with
     /// [`Reject::Busy`]. `0` sheds everything (the deterministic
@@ -160,7 +158,6 @@ struct Job {
 
 /// The job's way back to its connection: the writer channel plus the
 /// connection's outstanding-job counter (drained before goodbye).
-#[derive(Clone)]
 struct ReplyHandle {
     tx: mpsc::Sender<Outbound>,
     outstanding: Arc<AtomicUsize>,
@@ -177,46 +174,50 @@ impl ReplyHandle {
     }
 }
 
-/// State shared by the accept loop, connection threads and dispatcher.
+/// State shared by the accept loop, connection threads and workers.
+///
+/// The shard senders live outside it: the workers hold an `Arc<Shared>`,
+/// so senders stored here would keep every FIFO open forever.
+#[derive(Debug)]
 struct Shared {
     config: ServiceConfig,
     /// Set once by [`ServerHandle::shutdown`]; everything winds down.
     shutdown: AtomicBool,
-    /// Set by the accept loop after every connection thread has finished
-    /// (no more jobs can arrive); the dispatcher exits once this is set
-    /// and the queue is empty.
-    drained: AtomicBool,
     /// Exact count of admitted, unanswered requests across all
     /// connections.
     inflight: AtomicUsize,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
 }
 
 impl Shared {
     /// Admission control: either reserves an inflight slot (exactly, via
     /// compare-exchange — two racing requests cannot both take the last
-    /// slot) and queues the job, or sheds the request with a typed busy
-    /// response.
-    fn admit(&self, request: Request, tx: &mpsc::Sender<Outbound>, outstanding: &Arc<AtomicUsize>) {
+    /// slot) and sends the job to the FIFO of shard `request.id %
+    /// shards.len()`, or sheds the request with a typed busy response.
+    fn admit(
+        &self,
+        request: Request,
+        shards: &[mpsc::Sender<Job>],
+        tx: &mpsc::Sender<Outbound>,
+        outstanding: &Arc<AtomicUsize>,
+    ) {
         let max = self.config.max_inflight;
-        let admitted = self
+        let slot = self
             .inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
                 (v < max).then_some(v + 1)
-            })
-            .is_ok();
-        if !admitted {
+            });
+        if let Err(inflight) = slot {
             let _ = tx.send(Outbound::Response(Response {
                 id: request.id,
                 outcome: Err(Reject::Busy {
-                    inflight: self.inflight.load(Ordering::SeqCst) as u64,
+                    inflight: inflight as u64,
                     max_inflight: max as u64,
                 }),
             }));
             return;
         }
         outstanding.fetch_add(1, Ordering::SeqCst);
+        let shard = (request.id % shards.len() as u64) as usize;
         let job = Job {
             request,
             deadline: Deadline::after(self.config.request_timeout),
@@ -225,10 +226,10 @@ impl Shared {
                 outstanding: outstanding.clone(),
             },
         };
-        let mut queue = self.queue.lock().expect("service queue lock poisoned");
-        queue.push_back(job);
-        drop(queue);
-        self.queue_cv.notify_all();
+        // The caller holds a sender, so this shard's worker has not exited.
+        shards[shard]
+            .send(job)
+            .expect("shard worker outlives its senders");
     }
 
     /// Runs one job to a response and ships it back.
@@ -236,10 +237,10 @@ impl Shared {
     /// The execution is double-shielded: [`execute_request`] checks the
     /// configured [`RequestLimits`] before allocating anything on the
     /// request's behalf, and the whole call sits under a `catch_unwind` —
-    /// this runs on a dispatcher pool worker *outside*
-    /// `run_protected`'s shield (which only covers the scenario run), so a
-    /// stray panic in graph reconstruction or knob validation must become
-    /// a typed reject here instead of killing the dispatcher.
+    /// this runs on a shard worker *outside* `run_protected`'s shield
+    /// (which only covers the scenario run), so a stray panic in graph
+    /// reconstruction or knob validation must become a typed reject here
+    /// instead of killing the worker and stranding its FIFO.
     fn process(&self, job: Job) {
         let Job {
             request,
@@ -275,76 +276,22 @@ impl Shared {
     }
 }
 
-/// The dispatcher: drains the queue in batches, shards each batch by
-/// `request.id % workers`, and runs the shards on the pool. Within a shard
-/// jobs run in arrival order on one worker, so identical ids can never
-/// race; across shards the pool runs them concurrently.
-fn dispatcher_loop(shared: &Arc<Shared>) {
-    let workers = shared.config.workers.max(1);
-    let pool = Pool::new(workers);
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = shared.queue.lock().expect("service queue lock poisoned");
-            loop {
-                if !queue.is_empty() {
-                    break queue.drain(..).collect();
+/// Spawns one worker thread per shard. Each owns the receiving end of its
+/// shard's FIFO and runs the jobs in arrival order; it exits once every
+/// sender is dropped and the FIFO is empty.
+fn spawn_workers(shared: &Arc<Shared>) -> (Vec<mpsc::Sender<Job>>, Vec<JoinHandle<()>>) {
+    (0..shared.config.workers.max(1))
+        .map(|_| {
+            let (tx, rx) = mpsc::channel::<Job>();
+            let shared = Arc::clone(shared);
+            let worker = thread::spawn(move || {
+                for job in rx {
+                    shared.process(job);
                 }
-                if shared.drained.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, READ_TICK)
-                    .expect("service queue lock poisoned");
-                queue = guard;
-            }
-        };
-        let mut shards: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-        for job in batch {
-            let shard = (job.request.id % workers as u64) as usize;
-            shards[shard].push(job);
-        }
-        let shards: Vec<Mutex<Vec<Job>>> = shards.into_iter().map(Mutex::new).collect();
-        pool.run(workers, &|w| {
-            let jobs = std::mem::take(&mut *shards[w].lock().expect("shard lock poisoned"));
-            for job in jobs {
-                shared.process(job);
-            }
-        });
-    }
-}
-
-/// One nonblocking-read tick's outcome.
-enum ReadEvent {
-    /// Some bytes arrived and were pushed into the frame reader.
-    Bytes,
-    /// The read timed out; check deadlines/flags and try again.
-    Idle,
-    /// The peer closed the stream.
-    Eof,
-}
-
-/// Reads once from `stream` (bounded by its read timeout) into `reader`.
-fn read_tick(stream: &mut TcpStream, reader: &mut FrameReader) -> Result<ReadEvent, ServiceError> {
-    let mut buf = [0u8; 4096];
-    match stream.read(&mut buf) {
-        Ok(0) => Ok(ReadEvent::Eof),
-        Ok(n) => {
-            reader.push(&buf[..n]);
-            Ok(ReadEvent::Bytes)
-        }
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-            ) =>
-        {
-            Ok(ReadEvent::Idle)
-        }
-        Err(e) => Err(ServiceError::Disconnected {
-            detail: format!("read failed: {e}"),
-        }),
-    }
+            });
+            (tx, worker)
+        })
+        .unzip()
 }
 
 /// Reads whole frames until one arrives, bounded by `deadline`.
@@ -370,7 +317,7 @@ fn read_frame_deadline(
                     detail: "peer closed the stream mid-frame".to_string(),
                 })
             }
-            ReadEvent::Bytes | ReadEvent::Idle => {}
+            ReadEvent::Bytes(_) | ReadEvent::Idle => {}
         }
     }
 }
@@ -379,6 +326,7 @@ fn read_frame_deadline(
 /// the client says goodbye, closes the stream, or the server shuts down.
 fn read_requests(
     shared: &Shared,
+    shards: &[mpsc::Sender<Job>],
     stream: &mut TcpStream,
     reader: &mut FrameReader,
     tx: &mpsc::Sender<Outbound>,
@@ -389,7 +337,9 @@ fn read_requests(
             detail: e.to_string(),
         })? {
             match frame.kind {
-                FrameKind::Data => shared.admit(decode_request(&frame)?, tx, outstanding),
+                FrameKind::Data => {
+                    shared.admit(decode_request(&frame)?, shards, tx, outstanding);
+                }
                 FrameKind::EndRound => return Ok(()),
                 FrameKind::Hello => {
                     return Err(ServiceError::Protocol {
@@ -403,7 +353,7 @@ fn read_requests(
         }
         match read_tick(stream, reader)? {
             ReadEvent::Eof => return Ok(()),
-            ReadEvent::Bytes | ReadEvent::Idle => {}
+            ReadEvent::Bytes(_) | ReadEvent::Idle => {}
         }
     }
 }
@@ -432,7 +382,11 @@ fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<Outbound>) {
 /// One accepted connection, start to finish: handshake, request loop,
 /// drain, goodbye. Errors tear the connection down without touching the
 /// rest of the server.
-fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), ServiceError> {
+fn serve_connection(
+    shared: &Shared,
+    shards: &[mpsc::Sender<Job>],
+    mut stream: TcpStream,
+) -> Result<(), ServiceError> {
     let fail = |what: &'static str| {
         move |e: io::Error| ServiceError::Disconnected {
             detail: format!("{what}: {e}"),
@@ -455,11 +409,11 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), S
     let writer_stream = stream.try_clone().map_err(fail("stream clone"))?;
     let writer = thread::spawn(move || writer_loop(writer_stream, &rx));
 
-    let result = read_requests(shared, &mut stream, &mut reader, &tx, &outstanding);
+    let result = read_requests(shared, shards, &mut stream, &mut reader, &tx, &outstanding);
 
-    // Graceful drain: every admitted job must be answered (the dispatcher
-    // keeps running until after all connections finish) before the goodbye
-    // frame goes out.
+    // Graceful drain: every admitted job must be answered (the workers keep
+    // running until after all connections finish) before the goodbye frame
+    // goes out.
     let drain = Deadline::after(DRAIN_TIMEOUT);
     while outstanding.load(Ordering::SeqCst) > 0 && !drain.expired() {
         park_tick();
@@ -470,18 +424,19 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), S
     result
 }
 
-/// The accept loop: hands each connection to its own thread, reaps
-/// finished ones, and on shutdown joins the rest before releasing the
-/// dispatcher.
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// The accept loop: hands each connection to its own thread (with a clone
+/// of the shard senders), reaps finished ones, and on shutdown joins the
+/// rest before dropping `shards`, which lets the workers drain and exit.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, shards: Vec<mpsc::Sender<Job>>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(shared);
+                let shards = shards.clone();
                 connections.push(thread::spawn(move || {
                     // A failed connection affects only itself.
-                    let _ = serve_connection(&shared, stream);
+                    let _ = serve_connection(&shared, &shards, stream);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => park_tick(),
@@ -492,10 +447,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for handle in connections {
         let _ = handle.join();
     }
-    // No connection threads remain, so no new jobs can be admitted; let
-    // the dispatcher exit once the queue runs dry.
-    shared.drained.store(true, Ordering::SeqCst);
-    shared.queue_cv.notify_all();
 }
 
 /// A bound-but-not-yet-serving server. Splitting bind from serve lets
@@ -504,15 +455,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("config", &self.config)
-            .field("inflight", &self.inflight)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Server {
@@ -530,10 +472,7 @@ impl Server {
             shared: Arc::new(Shared {
                 config,
                 shutdown: AtomicBool::new(false),
-                drained: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
-                queue: Mutex::new(VecDeque::new()),
-                queue_cv: Condvar::new(),
             }),
         })
     }
@@ -555,33 +494,29 @@ impl Server {
             .listener
             .local_addr()
             .expect("bound listener has an address");
-        let dispatcher = {
-            let shared = Arc::clone(&self.shared);
-            thread::spawn(move || dispatcher_loop(&shared))
-        };
+        let (shards, workers) = spawn_workers(&self.shared);
         let accept = {
             let shared = Arc::clone(&self.shared);
             let listener = self.listener;
-            thread::spawn(move || accept_loop(&shared, &listener))
+            thread::spawn(move || accept_loop(&shared, &listener, shards))
         };
         ServerHandle {
             addr,
             shared: self.shared,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
+            workers,
         }
     }
 
     /// Serves on the calling thread (the `dcl_serve` binary's mode); only
-    /// the dispatcher runs in the background. Returns when another thread
+    /// the shard workers run in the background. Returns when another thread
     /// flips the shutdown flag — for the binary, effectively never.
     pub fn run(self) {
-        let dispatcher = {
-            let shared = Arc::clone(&self.shared);
-            thread::spawn(move || dispatcher_loop(&shared))
-        };
-        accept_loop(&self.shared, &self.listener);
-        let _ = dispatcher.join();
+        let (shards, workers) = spawn_workers(&self.shared);
+        accept_loop(&self.shared, &self.listener, shards);
+        for worker in workers {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -592,7 +527,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -603,15 +538,15 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, let every connection drain its
-    /// admitted requests and say goodbye, stop the dispatcher. Idempotent.
+    /// admitted requests and say goodbye, join the drained workers.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }

@@ -8,7 +8,9 @@
 //! - concurrent connections all see the solo-connection results;
 //! - backpressure sheds with a typed `Busy` (and keeps accepting), the
 //!   per-request deadline surfaces as a typed `TimedOut`, and a closing
-//!   client drains every admitted request before the server's goodbye.
+//!   client drains every admitted request before the server's goodbye;
+//! - a request on an idle shard is answered while another shard is still
+//!   busy, and equal ids come back in submission order.
 //!
 //! Sockets are real; CI serializes these with `--test-threads=1` alongside
 //! the transport suite.
@@ -27,7 +29,8 @@ use dcl_sim::transport::{encode_frame, FrameReader, RawFrame};
 use dcl_sim::{Backend, ExecConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn start_server(config: ServiceConfig) -> (SocketAddr, dcl_service::ServerHandle) {
     let server = Server::bind(config).expect("bind loopback");
@@ -422,5 +425,81 @@ fn a_bad_handshake_drops_only_that_connection() {
         .expect("service still works");
     assert!(report.proper);
     good.close().expect("clean close");
+    handle.shutdown();
+}
+
+/// Wall-clock cost of one direct `congest` run on `graph` — the work a
+/// shard worker does for the request.
+fn direct_cost(graph: &Graph) -> Duration {
+    let scenario = build_scenario("congest").expect("registered");
+    let start = Instant::now();
+    let _ = run_protected(scenario.as_ref(), graph, &ExecConfig::default());
+    start.elapsed()
+}
+
+fn send_congest(stream: &mut TcpStream, id: u64, graph: &Graph) {
+    let mut out = Vec::new();
+    encode_request(
+        &Request::for_graph(id, "congest", graph, &ExecConfig::default()),
+        &mut out,
+    );
+    stream.write_all(&out).expect("write request");
+}
+
+/// Two workers: a light request (id 1) sent 100 ms after a slow one (id 0)
+/// runs on the idle shard and comes back first; a light id 0 queues behind
+/// the slow one in its shard's FIFO. The slow graph costs at least 20× the
+/// light one and 500 ms, calibrated so debug and release builds both keep
+/// the margin.
+#[test]
+fn an_idle_shard_answers_while_another_is_busy() {
+    let light = generators::ring(6);
+    let floor = (direct_cost(&light) * 20).max(Duration::from_millis(500));
+    let slow = std::iter::successors(Some(64), |n| Some(n * 3 / 2))
+        .map(|n| generators::gnp(n, 0.1, 3))
+        .find(|graph| direct_cost(graph) >= floor)
+        .expect("some size is slow enough");
+
+    let (addr, mut handle) = start_server(lenient().with_workers(2));
+    let mut stream = TcpStream::connect(addr).expect("dial");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut out = Vec::new();
+    encode_hello(&mut out);
+    stream.write_all(&out).expect("hello");
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 64];
+    let hello = loop {
+        if let Some(frame) = reader.next_frame().expect("well-formed") {
+            break frame;
+        }
+        let n = stream.read(&mut buf).expect("hello echo");
+        assert_ne!(n, 0, "server closed during the handshake");
+        reader.push(&buf[..n]);
+    };
+    check_hello(&hello).expect("server hello");
+
+    send_congest(&mut stream, 0, &slow);
+    thread::sleep(Duration::from_millis(100));
+    send_congest(&mut stream, 1, &light);
+    send_congest(&mut stream, 0, &light);
+    let order: Vec<(u64, usize)> = read_data_frames(&mut stream, 3)
+        .iter()
+        .map(|(frame, _)| {
+            let response = decode_response(frame).expect("decodes");
+            (
+                response.id,
+                response.outcome.expect("congest colors both").colors.len(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        order,
+        [(1, light.n()), (0, slow.n()), (0, light.n())],
+        "(id, n) in arrival order: the idle shard must not wait for the busy one, \
+         and equal ids must keep submission order"
+    );
     handle.shutdown();
 }
