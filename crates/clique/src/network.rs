@@ -64,7 +64,7 @@ impl CliqueNetwork {
             topo: AllPairsTopology::new(n),
             cap,
             metrics: CliqueMetrics::default(),
-            engine: RoundEngine::new(Backend::Sequential),
+            engine: RoundEngine::new(Backend::Sequential, TransportSpec::Local),
         }
     }
 
@@ -74,47 +74,17 @@ impl CliqueNetwork {
         CliqueNetwork::with_cap(n, BandwidthCap::two_words())
     }
 
-    /// Creates a clique with an explicit cap and local-computation backend.
-    pub fn with_backend(n: usize, cap_bits: u32, backend: Backend) -> Self {
-        let mut net = CliqueNetwork::new(n, cap_bits);
-        net.set_backend(backend);
-        net
-    }
-
     /// Creates a clique from an [`dcl_sim::ExecConfig`]: the config's cap
     /// override if set, else the two-word default; the config's backend and
-    /// transport tier.
+    /// transport tier, fixed for the clique's life. Results are
+    /// bit-identical across backends and tiers. Charged collectives
+    /// ([`CliqueNetwork::lenzen_route`]) deliver centrally on every tier:
+    /// they are cost-model shortcuts, not stepped rounds.
     pub fn from_exec(n: usize, exec: &dcl_sim::ExecConfig) -> Self {
-        let mut net = CliqueNetwork::with_cap(n, exec.cap_or(BandwidthCap::two_words()));
-        net.set_backend(exec.backend);
-        net.set_transport(exec.transport);
-        net
-    }
-
-    /// Switches the local-computation backend. Rounds always run on the
-    /// calling thread, so results are bit-identical across backends; only
-    /// the drivers' wall-clock changes.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.engine.set_backend(backend);
-    }
-
-    /// The active local-computation backend.
-    pub fn backend(&self) -> Backend {
-        self.engine.backend()
-    }
-
-    /// Switches the transport tier carrying [`CliqueNetwork::round`].
-    /// Results are bit-identical across tiers; only the physical layer —
-    /// metered by [`CliqueNetwork::transport_stats`] — changes. Charged
-    /// collectives ([`CliqueNetwork::lenzen_route`]) deliver centrally on
-    /// every tier: they are cost-model shortcuts, not stepped rounds.
-    pub fn set_transport(&mut self, transport: TransportSpec) {
-        self.engine.set_transport(transport);
-    }
-
-    /// The active transport tier.
-    pub fn transport(&self) -> TransportSpec {
-        self.engine.transport_spec()
+        CliqueNetwork {
+            engine: RoundEngine::new(exec.backend, exec.transport),
+            ..CliqueNetwork::with_cap(n, exec.cap_or(BandwidthCap::two_words()))
+        }
     }
 
     /// Physical-layer counters of the built transport (`None` on the
@@ -269,33 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_matches_sequential_bit_for_bit() {
-        let sender = |v: usize| -> Vec<(usize, u64)> {
-            (0..90usize)
-                .filter(|&u| u != v && (u + v).is_multiple_of(3))
-                .map(|u| (u, (v * 100 + u) as u64))
-                .collect()
-        };
-        let mut seq = CliqueNetwork::with_default_cap(90);
-        let mut par = CliqueNetwork::with_backend(90, 128, Backend::Parallel(4));
-        for _ in 0..3 {
-            assert_eq!(seq.round(sender), par.round(sender));
-        }
-        assert_eq!(seq.metrics(), par.metrics());
-    }
-
-    #[test]
-    #[should_panic(expected = "to itself")]
-    fn parallel_self_message_panics() {
-        let mut net = CliqueNetwork::with_backend(80, 128, Backend::Parallel(3));
-        let _ = net.round(|v| if v == 41 { vec![(41, 1u32)] } else { vec![] });
-    }
-
-    #[test]
     fn round_runs_a_non_sync_sender_once_per_node_in_order() {
         // `Cell` is not `Sync`: rounds accept it because the senders run on
         // the calling thread, even when the backend sizes a pool.
-        let mut net = CliqueNetwork::with_backend(40, 128, Backend::Parallel(2));
+        let exec = dcl_sim::ExecConfig::default().with_backend(Backend::Parallel(2));
+        let mut net = CliqueNetwork::from_exec(40, &exec);
         let calls = std::cell::Cell::new(0usize);
         let inboxes = net.round(|v| {
             assert_eq!(calls.get(), v, "senders run in node order");
@@ -349,7 +297,6 @@ mod tests {
         let rounds_ref = [reference.round(sender), reference.round(sender)];
         let exec = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
         let mut net = CliqueNetwork::from_exec(16, &exec);
-        assert_eq!(net.transport(), TransportSpec::Tcp);
         assert_eq!(rounds_ref[0], net.round(sender));
         assert_eq!(rounds_ref[1], net.round(sender));
         assert_eq!(reference.metrics(), net.metrics());

@@ -1,17 +1,13 @@
-//! Parallel vs sequential backend equivalence for the CONGESTED CLIQUE
-//! simulator and the Theorem 1.3 coloring, via the shared
-//! `dcl_sim::test_util` helpers (this file only contributes the clique
-//! runners).
+//! Parallel vs sequential backend equivalence for the Theorem 1.3 clique
+//! coloring, whose seed-segment candidates the parallel backend scores on
+//! the pool.
 
 use dcl_clique::coloring::{clique_color, CliqueColoringConfig};
-use dcl_clique::network::CliqueNetwork;
 use dcl_coloring::instance::ListInstance;
 use dcl_congest::Backend;
 use dcl_graphs::{generators, validation};
-use dcl_sim::test_util::{assert_backend_equivalent, assert_eq_sides, assert_round_equivalence};
 use dcl_sim::ExecConfig;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -21,31 +17,13 @@ proptest! {
     fn clique_coloring_equivalence(n in 6usize..30, p in 0.1f64..0.4, seed in any::<u64>()) {
         let g = generators::gnp(n, p, seed);
         let inst = ListInstance::degree_plus_one(g.clone());
-        let seq = assert_backend_equivalent(3, |backend| {
-            let r = clique_color(
-                &inst,
-                &CliqueColoringConfig::default()
-                    .with_exec(ExecConfig::default().with_backend(backend)),
-            );
+        let run = |backend| {
+            let exec = ExecConfig::default().with_backend(backend);
+            let r = clique_color(&inst, &CliqueColoringConfig::default().with_exec(exec));
             (r.colors, r.metrics, r.iterations, r.collected_nodes)
-        })
-        .map_err(TestCaseError::Fail)?;
-        prop_assert_eq!(validation::check_proper(&g, &seq.0), None);
-    }
-
-    /// Raw clique rounds deliver identical inboxes and metrics per backend.
-    #[test]
-    fn clique_round_equivalence(n in 2usize..70, seed in any::<u64>(), threads in 2usize..6) {
-        let sender = |v: usize| -> Vec<(usize, u64)> {
-            (0..n)
-                .filter(|&u| u != v && (u * 7 + v + seed as usize).is_multiple_of(5))
-                .map(|u| (u, (v * n + u) as u64))
-                .collect()
         };
-        let mut seq = CliqueNetwork::with_default_cap(n);
-        let mut par = CliqueNetwork::with_backend(n, 128, Backend::Parallel(threads));
-        assert_round_equivalence(2, || (seq.round(sender), par.round(sender)))
-            .map_err(TestCaseError::Fail)?;
-        assert_eq_sides("metrics", seq.metrics(), par.metrics()).map_err(TestCaseError::Fail)?;
+        let seq = run(Backend::Sequential);
+        prop_assert_eq!(&seq, &run(Backend::Parallel(3)));
+        prop_assert_eq!(validation::check_proper(&g, &seq.0), None);
     }
 }

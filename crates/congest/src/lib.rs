@@ -11,15 +11,15 @@
 //! - message size accounting via the [`wire::Wire`] trait (re-exported from
 //!   [`dcl_sim::wire`]);
 //! - distributed BFS-tree construction ([`bfs`]);
-//! - converge-cast (aggregation) and broadcast over trees ([`tree`]), in both
-//!   a literal round-by-round implementation and an equivalent *charged*
-//!   implementation used on hot paths (identical results and identical round
-//!   costs; see `DESIGN.md` §2.4).
+//! - converge-cast (aggregation) and broadcast over trees ([`tree`]): a
+//!   literal round-by-round implementation per tree, and the *charged*
+//!   forest pair the hot paths run (identical per-tree results and costs;
+//!   see `DESIGN.md` §2.4).
 //!
-//! The drivers' local computation between rounds can be switched between a
-//! sequential and a multi-threaded backend via [`Backend`] (rounds always
-//! run on the calling thread; see `DESIGN.md` §5): results are
-//! bit-identical, only wall-clock changes.
+//! A network built by [`network::Network::from_exec`] runs the drivers'
+//! local computation on the [`Backend`] its config names (rounds always run
+//! on the calling thread; see `DESIGN.md` §5): results are bit-identical,
+//! only wall-clock changes.
 //!
 //! # Examples
 //!

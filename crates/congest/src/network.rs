@@ -69,7 +69,7 @@ impl<'g> Network<'g> {
             topo: NeighborTopology::new(graph),
             cap,
             metrics: Metrics::default(),
-            engine: RoundEngine::new(Backend::Sequential),
+            engine: RoundEngine::new(Backend::Sequential, TransportSpec::Local),
         }
     }
 
@@ -81,47 +81,18 @@ impl<'g> Network<'g> {
         Network::with_cap(graph, BandwidthCap::default_for(graph.n(), color_space))
     }
 
-    /// Creates a network with an explicit cap and local-computation backend.
-    pub fn with_backend(graph: &'g Graph, cap_bits: u32, backend: Backend) -> Self {
-        let mut net = Network::new(graph, cap_bits);
-        net.set_backend(backend);
-        net
-    }
-
     /// Creates a network from an [`ExecConfig`]: the config's cap override
     /// if set, else the default cap for `color_space`; the config's backend
-    /// and transport tier.
+    /// and transport tier, fixed for the network's life. Results are
+    /// bit-identical across backends and tiers; only the drivers'
+    /// wall-clock and the physical layer ([`Network::transport_stats`])
+    /// change.
     pub fn from_exec(graph: &'g Graph, color_space: u64, exec: &ExecConfig) -> Self {
         let cap = exec.cap_or(BandwidthCap::default_for(graph.n(), color_space));
-        let mut net = Network::with_cap(graph, cap);
-        net.set_backend(exec.backend);
-        net.set_transport(exec.transport);
-        net
-    }
-
-    /// Switches the local-computation backend. Rounds always run on the
-    /// calling thread, so inboxes, metrics and panics are bit-identical
-    /// across backends; only the drivers' wall-clock changes.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.engine.set_backend(backend);
-    }
-
-    /// The active local-computation backend.
-    pub fn backend(&self) -> Backend {
-        self.engine.backend()
-    }
-
-    /// Switches the transport tier carrying the rounds. Results (inboxes,
-    /// metrics, intentional panics) are bit-identical across tiers; only
-    /// the physical layer — metered by [`Network::transport_stats`] —
-    /// changes.
-    pub fn set_transport(&mut self, transport: TransportSpec) {
-        self.engine.set_transport(transport);
-    }
-
-    /// The active transport tier.
-    pub fn transport(&self) -> TransportSpec {
-        self.engine.transport_spec()
+        Network {
+            engine: RoundEngine::new(exec.backend, exec.transport),
+            ..Network::with_cap(graph, cap)
+        }
     }
 
     /// Physical-layer counters of the built transport (`None` on the
@@ -444,58 +415,13 @@ mod tests {
         let g = generators::path(4);
         let net = Network::from_exec(&g, 100, &ExecConfig::default());
         assert_eq!(net.cap_bits(), 128);
-        assert_eq!(net.backend(), Backend::Sequential);
+        assert!(net.pool().is_none());
         let exec = ExecConfig::default()
             .with_backend(Backend::Parallel(2))
             .with_cap(BandwidthCap::new(9));
         let net = Network::from_exec(&g, 100, &exec);
         assert_eq!(net.cap_bits(), 9);
-        assert_eq!(net.backend(), Backend::Parallel(2));
-    }
-
-    #[test]
-    fn parallel_backend_matches_sequential_bit_for_bit() {
-        let g = generators::gnp(80, 0.15, 42);
-        let sender = |v: NodeId| -> Vec<(NodeId, u64)> {
-            g.neighbors(v)
-                .iter()
-                .map(|&u| (u, (v * 1000 + u) as u64))
-                .collect()
-        };
-        let mut seq = Network::with_default_cap(&g, 81);
-        let mut par = Network::with_default_cap(&g, 81);
-        par.set_backend(Backend::Parallel(4));
-        for _ in 0..3 {
-            let a = seq.round(sender);
-            let b = par.round(sender);
-            assert_eq!(a, b);
-        }
-        let a = seq.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
-        let b = par.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
-        assert_eq!(a, b);
-        assert_eq!(seq.metrics(), par.metrics());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-neighbor")]
-    fn parallel_backend_panics_like_sequential() {
-        let g = generators::path(100);
-        let mut net = Network::with_backend(&g, 128, Backend::Parallel(4));
-        let _ = net.round(|v| if v == 50 { vec![(99, 1u32)] } else { vec![] });
-    }
-
-    #[test]
-    #[should_panic(expected = "two messages")]
-    fn parallel_duplicate_edge_message_panics() {
-        let g = generators::star(80);
-        let mut net = Network::with_backend(&g, 128, Backend::Parallel(3));
-        let _ = net.round(|v| {
-            if v == 7 {
-                vec![(0, 1u32), (0, 2u32)]
-            } else {
-                vec![]
-            }
-        });
+        assert_eq!(net.pool().map(Pool::threads), Some(2));
     }
 
     #[test]
@@ -503,7 +429,8 @@ mod tests {
         // `Cell` is not `Sync`: rounds accept it because the senders run on
         // the calling thread, even when the backend sizes a pool.
         let g = generators::gnp(90, 0.1, 5);
-        let mut net = Network::with_backend(&g, 128, Backend::Parallel(2));
+        let exec = ExecConfig::default().with_backend(Backend::Parallel(2));
+        let mut net = Network::from_exec(&g, 91, &exec);
         let calls = std::cell::Cell::new(0usize);
         let inboxes = net.round(|v| {
             assert_eq!(calls.get(), v, "senders run in node order");
@@ -515,17 +442,6 @@ mod tests {
         });
         assert_eq!(calls.get(), g.n());
         assert!(inboxes[0].iter().all(|&(u, m)| m == u as u32));
-    }
-
-    #[test]
-    fn backend_knob_roundtrip() {
-        let g = generators::path(3);
-        let mut net = Network::with_default_cap(&g, 2);
-        assert_eq!(net.backend(), Backend::Sequential);
-        net.set_backend(Backend::Parallel(2));
-        assert_eq!(net.backend(), Backend::Parallel(2));
-        net.set_backend(Backend::Sequential);
-        assert_eq!(net.backend(), Backend::Sequential);
     }
 
     #[test]
@@ -542,7 +458,6 @@ mod tests {
         let broadcast_ref = reference.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));
         let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
         let mut net = Network::from_exec(&g, 25, &exec);
-        assert_eq!(net.transport(), TransportSpec::Tcp);
         assert_eq!(rounds_ref[0], net.round(sender));
         assert_eq!(rounds_ref[1], net.round(sender));
         let b = net.broadcast_round(|v| (v % 3 == 0).then_some(v as u32));

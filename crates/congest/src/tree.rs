@@ -1,23 +1,24 @@
-//! Converge-cast (aggregation) and broadcast over a rooted tree.
+//! Converge-cast (aggregation) and broadcast over BFS trees and forests.
 //!
-//! Two interchangeable implementations are provided:
+//! Two families:
 //!
-//! - `*_stepped`: literal round-by-round execution through
-//!   [`Network::round`], used in tests as the ground truth;
-//! - `*_charged`: computes the same result centrally in `O(n)` work and
-//!   charges the identical round/message/bit costs. Hot paths (the per-seed-
-//!   bit aggregations of Lemma 2.6, which run hundreds of thousands of times)
-//!   use the charged variants; equivalence is asserted by tests here.
+//! - `*_stepped`: literal round-by-round execution over one tree through
+//!   [`Network::fragmented_round`], the ground truth the tests hold the
+//!   charged pair to;
+//! - `*_forest_charged`: what the Lemma 2.6 drivers run — hundreds of
+//!   thousands of times per run — over every tree of a forest at once. They
+//!   compute the result centrally in `O(n)` work and charge the costs of
+//!   the trees running side by side: per-tree results equal the stepped
+//!   ones, rounds are the maximum over trees and messages and bits the sum.
 //!
 //! Round costs: a scalar converge-cast or broadcast over a tree of height `h`
 //! costs `h` rounds; a `W`-word vector aggregation pipelines to `h + W − 1`
 //! rounds. Under a swept (small) bandwidth cap, payloads wider than the cap
-//! fragment into `⌈bits / cap⌉` messages and every level stretches
-//! accordingly — the stepped variants inherit this from
-//! [`Network::fragmented_round`], and the charged variants charge the
-//! identical stretched costs, so stepped ≡ charged holds at *every* cap (at
-//! the default cap nothing fragments and all costs equal the historical
-//! ones).
+//! fragment into `⌈bits / cap⌉` messages: every broadcast level stretches
+//! accordingly, and the aggregation charges the pipelined
+//! `h + W·⌈64 / cap⌉ − 1`, a schedule the one-word-per-level stepped
+//! converge-cast (`h·⌈64 / cap⌉` for one word) does not replay
+//! (`DESIGN.md` §2.4). At the default cap nothing fragments.
 
 use crate::bfs::BfsTree;
 use crate::network::Network;
@@ -64,41 +65,6 @@ where
     partial[tree.root].clone()
 }
 
-/// Equivalent of [`convergecast_stepped`] computing the aggregate centrally
-/// and charging the same costs (`height` rounds; one message of the combined
-/// value's width per tree edge).
-pub fn convergecast_charged<M, F>(
-    net: &mut Network<'_>,
-    tree: &BfsTree,
-    values: &[M],
-    mut combine: F,
-) -> M
-where
-    M: Wire + Clone,
-    F: FnMut(&M, &M) -> M,
-{
-    let n = values.len();
-    assert_eq!(n, net.graph().n(), "one value per node required");
-    let mut partial: Vec<M> = values.to_vec();
-    let levels = tree.levels();
-    // Each level is one (possibly fragment-stretched) round: the level's
-    // cost is the largest fragment count among its messages, exactly what
-    // the stepped variant's fragmented rounds charge.
-    let mut rounds = 0u64;
-    for d in (1..levels.len()).rev() {
-        let mut level_cost = 1u32;
-        for &v in &levels[d] {
-            let p = tree.parent[v].expect("non-root tree nodes have parents");
-            let msg = partial[v].clone();
-            level_cost = level_cost.max(net.charge_payload_traffic(1, msg.wire_bits()));
-            partial[p] = combine(&partial[p], &msg);
-        }
-        rounds += u64::from(level_cost);
-    }
-    net.charge_rounds(rounds);
-    partial[tree.root].clone()
-}
-
 /// Broadcasts `value` from the root to every tree node, one real round per
 /// level. Returns the delivered value per node (`None` for nodes outside the
 /// tree). Costs `tree.height` rounds.
@@ -127,28 +93,6 @@ where
             if let Some((_, msg)) = inboxes[v].first() {
                 have[v] = Some(msg.clone());
             }
-        }
-    }
-    have
-}
-
-/// Equivalent of [`broadcast_stepped`] with charged costs.
-pub fn broadcast_charged<M>(net: &mut Network<'_>, tree: &BfsTree, value: M) -> Vec<Option<M>>
-where
-    M: Wire + Clone,
-{
-    let n = net.graph().n();
-    let mut have: Vec<Option<M>> = vec![None; n];
-    let bits = value.wire_bits();
-    // Every level repeats the same value, so every level stretches by the
-    // same fragment count.
-    net.charge_rounds(u64::from(tree.height) * u64::from(net.cap().fragments(bits)));
-    for v in 0..n {
-        if tree.contains(v) {
-            if v != tree.root {
-                net.charge_payload_traffic(1, bits);
-            }
-            have[v] = Some(value.clone());
         }
     }
     have
@@ -229,32 +173,116 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::build_bfs_tree;
-    use dcl_graphs::generators;
+    use crate::bfs::{build_bfs_forest, build_bfs_tree, BfsForest};
+    use crate::network::Metrics;
+    use dcl_graphs::{generators, Graph};
+
+    /// Three components: a path of height 3 from its smallest node, a star
+    /// and an isolated node.
+    fn three_trees() -> Graph {
+        Graph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)]).unwrap()
+    }
+
+    fn forest_of(g: &Graph, cap_bits: u32) -> BfsForest {
+        build_bfs_forest(&mut Network::new(g, cap_bits))
+    }
+
+    /// Runs `run` on each tree of `forest` on its own fresh network and
+    /// returns the per-tree results with the costs of the trees running
+    /// side by side: rounds are the maximum over trees, messages and bits
+    /// the sum.
+    fn stepped_per_tree<R>(
+        g: &Graph,
+        cap_bits: u32,
+        forest: &BfsForest,
+        mut run: impl FnMut(&mut Network<'_>, usize, &BfsTree) -> R,
+    ) -> (Vec<R>, Metrics) {
+        let mut total = Metrics::default();
+        let results = forest
+            .trees
+            .iter()
+            .enumerate()
+            .map(|(c, tree)| {
+                let mut net = Network::new(g, cap_bits);
+                let result = run(&mut net, c, tree);
+                let m = net.metrics();
+                total.rounds = total.rounds.max(m.rounds);
+                total.messages += m.messages;
+                total.bits += m.bits;
+                total.max_message_bits = total.max_message_bits.max(m.max_message_bits);
+                result
+            })
+            .collect();
+        (results, total)
+    }
 
     #[test]
-    fn stepped_and_charged_convergecast_agree() {
-        for seed in 0..4 {
-            let g = generators::random_connected(25, 12, seed);
-            let values: Vec<u64> = (0..25).map(|v| (v * v + 1) as u64).collect();
-
-            let mut net1 = Network::with_default_cap(&g, 2);
-            let tree1 = build_bfs_tree(&mut net1, 0);
-            let base = net1.rounds();
-            let a = convergecast_stepped(&mut net1, &tree1, &values, |x, y| x + y);
-            let stepped_rounds = net1.rounds() - base;
-
-            let mut net2 = Network::with_default_cap(&g, 2);
-            let tree2 = build_bfs_tree(&mut net2, 0);
-            let base = net2.rounds();
-            let b = convergecast_charged(&mut net2, &tree2, &values, |x, y| x + y);
-            let charged_rounds = net2.rounds() - base;
-
-            assert_eq!(a, b);
-            assert_eq!(a, values.iter().sum::<u64>());
-            assert_eq!(stepped_rounds, charged_rounds);
-            assert_eq!(stepped_rounds, u64::from(tree1.height));
+    fn forest_aggregation_equals_stepped_convergecast_per_tree() {
+        for (g, cap_bits) in [
+            (three_trees(), 64),
+            (generators::gnp(40, 0.05, 3), 128),
+            (generators::random_connected(25, 12, 1), 64),
+        ] {
+            let forest = forest_of(&g, cap_bits);
+            // Integer-valued f64 sums are exact in any combine order.
+            let values: Vec<f64> = g.nodes().map(|v| (v * v + 1) as f64).collect();
+            let (stepped, cost) = stepped_per_tree(&g, cap_bits, &forest, |net, _, tree| {
+                convergecast_stepped(net, tree, &values, |x, y| x + y)
+            });
+            let mut net = Network::new(&g, cap_bits);
+            let vectors: Vec<Vec<f64>> = values.iter().map(|&x| vec![x]).collect();
+            let sums = aggregate_vec_forest_charged(&mut net, &forest, &vectors, 1);
+            assert_eq!(
+                sums,
+                stepped.into_iter().map(|x| vec![x]).collect::<Vec<_>>()
+            );
+            assert_eq!(net.metrics(), cost);
+            assert_eq!(cost.rounds, u64::from(forest.max_height()));
         }
+    }
+
+    #[test]
+    fn forest_broadcast_equals_stepped_broadcast_per_tree() {
+        // Equal-width values per tree, so every tree's levels stretch alike
+        // and the swept caps fragment them.
+        for cap_bits in [128, 7] {
+            let g = three_trees();
+            let forest = forest_of(&g, cap_bits);
+            let per_tree: Vec<u32> = (0..forest.trees.len() as u32)
+                .map(|i| (1 << 20) | i)
+                .collect();
+            let (stepped, cost) = stepped_per_tree(&g, cap_bits, &forest, |net, c, tree| {
+                broadcast_stepped(net, tree, per_tree[c])
+            });
+            let mut net = Network::new(&g, cap_bits);
+            let out = broadcast_forest_charged(&mut net, &forest, &per_tree);
+            for v in g.nodes() {
+                assert_eq!(stepped[forest.component[v]][v], Some(out[v]));
+            }
+            assert_eq!(net.metrics(), cost, "cap {cap_bits}");
+        }
+    }
+
+    #[test]
+    fn aggregation_at_a_fragmenting_cap_charges_the_pipelined_formula() {
+        // At a 7-bit cap a 64-bit word is ⌈64/7⌉ = 10 fragments. The charge
+        // is h + W·10 − 1, a pipelined schedule; the stepped converge-cast
+        // sends one word per level and costs h·10, so it is no twin here.
+        let g = generators::path(5);
+        let forest = forest_of(&g, 7);
+        let h = u64::from(forest.max_height());
+        assert_eq!(h, 4);
+        for width in [1usize, 3] {
+            let mut net = Network::new(&g, 7);
+            let vectors = vec![vec![1.0; width]; 5];
+            let sums = aggregate_vec_forest_charged(&mut net, &forest, &vectors, width);
+            assert_eq!(sums, vec![vec![5.0; width]]);
+            assert_eq!(net.rounds(), h + width as u64 * 10 - 1);
+        }
+        let mut stepped = Network::new(&g, 7);
+        let total = convergecast_stepped(&mut stepped, &forest.trees[0], &[1.0; 5], |x, y| x + y);
+        assert_eq!(total, 5.0);
+        assert_eq!(stepped.rounds(), h * 10);
     }
 
     #[test]
@@ -263,33 +291,12 @@ mod tests {
         let mut net = Network::with_default_cap(&g, 2);
         let tree = build_bfs_tree(&mut net, 0);
         let values: Vec<u64> = (0..15).map(|v| (v * 7 % 13) as u64).collect();
-        let m = convergecast_charged(&mut net, &tree, &values, |x, y| *x.max(y));
+        let m = convergecast_stepped(&mut net, &tree, &values, |x, y| *x.max(y));
         assert_eq!(m, *values.iter().max().unwrap());
     }
 
     #[test]
-    fn stepped_and_charged_broadcast_agree() {
-        let g = generators::grid(3, 4);
-        let mut net1 = Network::with_default_cap(&g, 2);
-        let tree1 = build_bfs_tree(&mut net1, 0);
-        let base = net1.rounds();
-        let a = broadcast_stepped(&mut net1, &tree1, 99u32);
-        let ra = net1.rounds() - base;
-
-        let mut net2 = Network::with_default_cap(&g, 2);
-        let tree2 = build_bfs_tree(&mut net2, 0);
-        let base = net2.rounds();
-        let b = broadcast_charged(&mut net2, &tree2, 99u32);
-        let rb = net2.rounds() - base;
-
-        assert_eq!(a, b);
-        assert!(a.iter().all(|x| *x == Some(99)));
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn vector_aggregation_sums_and_charges_pipelined_rounds() {
-        use crate::bfs::build_bfs_forest;
         let g = generators::path(6);
         let mut net = Network::with_default_cap(&g, 2);
         let forest = build_bfs_forest(&mut net);
@@ -305,18 +312,17 @@ mod tests {
 
     #[test]
     fn broadcast_skips_unreachable() {
-        let g = dcl_graphs::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let mut net = Network::with_default_cap(&g, 2);
         let tree = build_bfs_tree(&mut net, 0);
-        let out = broadcast_charged(&mut net, &tree, 5u32);
+        let out = broadcast_stepped(&mut net, &tree, 5u32);
         assert_eq!(out[1], Some(5));
         assert_eq!(out[2], None);
     }
 
     #[test]
     fn forest_aggregation_sums_per_component() {
-        use crate::bfs::build_bfs_forest;
-        let g = dcl_graphs::Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         let mut net = Network::with_default_cap(&g, 2);
         let forest = build_bfs_forest(&mut net);
         assert_eq!(forest.trees.len(), 2);
@@ -331,8 +337,7 @@ mod tests {
 
     #[test]
     fn forest_broadcast_delivers_per_component_values() {
-        use crate::bfs::build_bfs_forest;
-        let g = dcl_graphs::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let mut net = Network::with_default_cap(&g, 2);
         let forest = build_bfs_forest(&mut net);
         let per_tree: Vec<u32> = (0..forest.trees.len() as u32).map(|i| 100 + i).collect();

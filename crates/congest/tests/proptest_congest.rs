@@ -5,13 +5,41 @@
 // the crate roots).
 #![allow(clippy::needless_range_loop)]
 
-use dcl_congest::bfs::{build_bfs_forest, build_bfs_tree};
-use dcl_congest::network::Network;
+use dcl_congest::bfs::{build_bfs_forest, BfsForest, BfsTree};
+use dcl_congest::network::{Metrics, Network};
 use dcl_congest::tree::{
-    broadcast_charged, broadcast_stepped, convergecast_charged, convergecast_stepped,
+    aggregate_vec_forest_charged, broadcast_forest_charged, broadcast_stepped, convergecast_stepped,
 };
-use dcl_graphs::{generators, metrics};
+use dcl_graphs::{generators, metrics, Graph};
 use proptest::prelude::*;
+
+/// Runs `run` on each tree of `forest` on its own fresh default-cap network
+/// and returns the per-tree results with the costs of the trees running
+/// side by side: rounds are the maximum over trees, messages and bits the
+/// sum.
+fn stepped_per_tree<R>(
+    g: &Graph,
+    forest: &BfsForest,
+    mut run: impl FnMut(&mut Network<'_>, usize, &BfsTree) -> R,
+) -> (Vec<R>, Metrics) {
+    let mut total = Metrics::default();
+    let results = forest
+        .trees
+        .iter()
+        .enumerate()
+        .map(|(c, tree)| {
+            let mut net = Network::with_default_cap(g, 64);
+            let result = run(&mut net, c, tree);
+            let m = net.metrics();
+            total.rounds = total.rounds.max(m.rounds);
+            total.messages += m.messages;
+            total.bits += m.bits;
+            total.max_message_bits = total.max_message_bits.max(m.max_message_bits);
+            result
+        })
+        .collect();
+    (results, total)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -32,31 +60,42 @@ proptest! {
         }
     }
 
-    /// Charged and stepped converge-cast/broadcast agree in value and round
-    /// cost on arbitrary connected graphs.
+    /// The charged forest aggregation Lemma 2.6 runs (width 1,
+    /// integer-valued `f64`) equals the stepped converge-cast tree by tree
+    /// on arbitrary, mostly disconnected graphs: per-tree sums, rounds the
+    /// maximum over trees, messages and bits the sum.
     #[test]
-    fn charged_equals_stepped(n in 2usize..30, extra in 0usize..20, seed in any::<u64>()) {
-        let g = generators::random_connected(n, extra, seed);
-        let values: Vec<u64> = (0..n as u64).map(|v| v * 31 % 97).collect();
+    fn charged_equals_stepped(n in 1usize..40, p in 0.0f64..0.3, seed in any::<u64>()) {
+        let g = generators::gnp(n, p, seed);
+        let forest = build_bfs_forest(&mut Network::with_default_cap(&g, 64));
+        let values: Vec<f64> = (0..n as u64).map(|v| (v * 31 % 97) as f64).collect();
+        let (stepped, cost) = stepped_per_tree(&g, &forest, |net, _, tree| {
+            convergecast_stepped(net, tree, &values, |x, y| x + y)
+        });
+        let mut net = Network::with_default_cap(&g, 64);
+        let vectors: Vec<Vec<f64>> = values.iter().map(|&x| vec![x]).collect();
+        let sums = aggregate_vec_forest_charged(&mut net, &forest, &vectors, 1);
+        prop_assert_eq!(sums, stepped.into_iter().map(|x| vec![x]).collect::<Vec<_>>());
+        prop_assert_eq!(net.metrics(), cost);
+    }
 
-        let mut net1 = Network::with_default_cap(&g, 64);
-        let t1 = build_bfs_tree(&mut net1, 0);
-        let r1_base = net1.rounds();
-        let a = convergecast_stepped(&mut net1, &t1, &values, |x, y| x + y);
-        let stepped_cost = net1.rounds() - r1_base;
-
-        let mut net2 = Network::with_default_cap(&g, 64);
-        let t2 = build_bfs_tree(&mut net2, 0);
-        let r2_base = net2.rounds();
-        let b = convergecast_charged(&mut net2, &t2, &values, |x, y| x + y);
-        let charged_cost = net2.rounds() - r2_base;
-
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(stepped_cost, charged_cost);
-
-        let x = broadcast_stepped(&mut net1, &t1, 7u32);
-        let y = broadcast_charged(&mut net2, &t2, 7u32);
-        prop_assert_eq!(x, y);
+    /// The charged forest broadcast equals the stepped broadcast tree by
+    /// tree: every node receives its own tree's value, at the same combined
+    /// cost.
+    #[test]
+    fn charged_broadcast_equals_stepped(n in 1usize..40, p in 0.0f64..0.3, seed in any::<u64>()) {
+        let g = generators::gnp(n, p, seed);
+        let forest = build_bfs_forest(&mut Network::with_default_cap(&g, 64));
+        let per_tree: Vec<u64> = (0..forest.trees.len() as u64).map(|c| c * 7 + 1).collect();
+        let (stepped, cost) = stepped_per_tree(&g, &forest, |net, c, tree| {
+            broadcast_stepped(net, tree, per_tree[c])
+        });
+        let mut net = Network::with_default_cap(&g, 64);
+        let out = broadcast_forest_charged(&mut net, &forest, &per_tree);
+        for v in 0..n {
+            prop_assert_eq!(stepped[forest.component[v]][v], Some(out[v]));
+        }
+        prop_assert_eq!(net.metrics(), cost);
     }
 
     /// Metrics are additive: messages and bits only grow.

@@ -1,16 +1,14 @@
 //! Parallel vs sequential backend equivalence for the Δ-coloring pipeline,
-//! via the shared `dcl_sim::test_util` helpers, plus the acceptance sweep:
-//! every generator graph (gnp / power_law / expander, Δ ≥ 3) must produce a
-//! valid Δ-coloring at the default cap *and* at cap = ⌈log₂ n⌉, bit-identical
-//! across `Backend::{Sequential, Parallel}`.
+//! plus the acceptance sweep: every generator graph (gnp / power_law /
+//! expander, Δ ≥ 3) must produce a valid Δ-coloring at the default cap
+//! *and* at cap = ⌈log₂ n⌉, bit-identical across
+//! `Backend::{Sequential, Parallel}`.
 
 use dcl_delta::{delta_color, DeltaColoringConfig, DeltaError};
 use dcl_graphs::{generators, validation, Graph};
 use dcl_par::Backend;
-use dcl_sim::test_util::assert_backend_equivalent;
 use dcl_sim::{bit_len, BandwidthCap, ExecConfig};
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 fn config(backend: Backend, cap: Option<BandwidthCap>) -> DeltaColoringConfig {
     DeltaColoringConfig::default().with_exec(
@@ -101,10 +99,8 @@ proptest! {
     fn delta_coloring_equivalence(n in 20usize..64, p in 0.1f64..0.3, seed in any::<u64>()) {
         let g = generators::gnp(n, p, seed);
         prop_assume!(g.max_degree() >= 3);
-        let seq = assert_backend_equivalent(3, |backend| {
-            delta_color(&g, &config(backend, None))
-        })
-        .map_err(TestCaseError::Fail)?;
+        let seq = delta_color(&g, &config(Backend::Sequential, None));
+        prop_assert_eq!(&seq, &delta_color(&g, &config(Backend::Parallel(3), None)));
         if let Ok(result) = seq {
             assert_valid_delta_coloring(&g, &result.colors);
         }
@@ -116,10 +112,9 @@ proptest! {
         let g = generators::expander(n, 4, seed);
         prop_assume!(g.max_degree() >= 3);
         let log_n = bit_len(g.n() as u64 - 1);
-        let tight = assert_backend_equivalent(4, |backend| {
-            delta_color(&g, &config(backend, Some(BandwidthCap::new(log_n))))
-        })
-        .map_err(TestCaseError::Fail)?;
+        let tight_cap = Some(BandwidthCap::new(log_n));
+        let tight = delta_color(&g, &config(Backend::Sequential, tight_cap));
+        prop_assert_eq!(&tight, &delta_color(&g, &config(Backend::Parallel(4), tight_cap)));
         let default_run = delta_color(&g, &config(Backend::Sequential, None));
         match (tight, default_run) {
             (Ok(a), Ok(b)) => {

@@ -138,49 +138,19 @@ impl Mpc {
             slack: 4,
             metrics: SimMetrics::default(),
             max_storage_words: 0,
-            engine: RoundEngine::new(Backend::Sequential),
+            engine: RoundEngine::new(Backend::Sequential, TransportSpec::Local),
         }
     }
 
-    /// Creates a cluster with an explicit local-computation backend.
-    pub fn with_backend(machines: usize, memory_words: usize, backend: Backend) -> Self {
-        let mut mpc = Mpc::new(machines, memory_words);
-        mpc.set_backend(backend);
-        mpc
-    }
-
     /// Creates a cluster from an [`ExecConfig`]: the config's backend and
-    /// transport tier (the cap override is ignored — MPC's bandwidth role
-    /// is played by the per-machine word budget).
+    /// transport tier, fixed for the cluster's life (the cap override is
+    /// ignored — MPC's bandwidth role is played by the per-machine word
+    /// budget). Results are bit-identical across backends and tiers.
     pub fn from_exec(machines: usize, memory_words: usize, exec: &ExecConfig) -> Self {
-        let mut mpc = Mpc::new(machines, memory_words);
-        mpc.set_backend(exec.backend);
-        mpc.set_transport(exec.transport);
-        mpc
-    }
-
-    /// Switches the local-computation backend. Rounds always run on the
-    /// calling thread, so results are bit-identical across backends; only
-    /// the drivers' wall-clock changes.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.engine.set_backend(backend);
-    }
-
-    /// The active local-computation backend.
-    pub fn backend(&self) -> Backend {
-        self.engine.backend()
-    }
-
-    /// Switches the transport tier carrying [`Mpc::round`]. Results are
-    /// bit-identical across tiers; only the physical layer — metered by
-    /// [`Mpc::transport_stats`] — changes.
-    pub fn set_transport(&mut self, transport: TransportSpec) {
-        self.engine.set_transport(transport);
-    }
-
-    /// The active transport tier.
-    pub fn transport(&self) -> TransportSpec {
-        self.engine.transport_spec()
+        Mpc {
+            engine: RoundEngine::new(exec.backend, exec.transport),
+            ..Mpc::new(machines, memory_words)
+        }
     }
 
     /// Physical-layer counters of the built transport (`None` on the
@@ -317,37 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_matches_sequential_bit_for_bit() {
-        let sender = |i: usize| -> Vec<(usize, u64)> {
-            (0..100usize)
-                .filter(|&d| d != i && (d + i).is_multiple_of(7))
-                .map(|d| (d, (i * 1000 + d) as u64))
-                .collect()
-        };
-        let mut seq = Mpc::new(100, 400);
-        let mut par = Mpc::with_backend(100, 400, dcl_par::Backend::Parallel(4));
-        for _ in 0..3 {
-            assert_eq!(seq.round(sender), par.round(sender));
-        }
-        assert_eq!(seq.metrics(), par.metrics());
-    }
-
-    #[test]
-    #[should_panic(expected = "receive budget")]
-    fn parallel_receive_budget_enforced() {
-        let mut mpc = Mpc::with_backend(100, 2, dcl_par::Backend::Parallel(3));
-        // Many senders within their own budgets flood machine 99
-        // (budget = slack 4 × S 2 = 8 words; the ninth word trips it).
-        let _ = mpc.round(|i| if i < 9 { vec![(99usize, 1u64)] } else { vec![] });
-    }
-
-    #[test]
     fn round_calls_every_sender_in_order_before_the_budget_replay() {
         // `Cell` is not `Sync`: rounds accept it because the senders run on
         // the calling thread, even when the backend sizes a pool. Machine 0
         // breaks its send budget (8 words), yet every sender has run by the
         // time the replay reports it.
-        let mut mpc = Mpc::with_backend(5, 2, dcl_par::Backend::Parallel(2));
+        let exec = ExecConfig::default().with_backend(Backend::Parallel(2));
+        let mut mpc = Mpc::from_exec(5, 2, &exec);
         let calls = std::cell::Cell::new(0usize);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             mpc.round(|i| {
@@ -418,7 +364,6 @@ mod tests {
         let rounds_ref = [reference.round(sender), reference.round(sender)];
         let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
         let mut mpc = Mpc::from_exec(12, 50, &exec);
-        assert_eq!(mpc.transport(), TransportSpec::Tcp);
         assert_eq!(rounds_ref[0], mpc.round(sender));
         assert_eq!(rounds_ref[1], mpc.round(sender));
         assert_eq!(reference.metrics(), mpc.metrics());

@@ -1,16 +1,13 @@
-//! Parallel vs sequential backend equivalence for the MPC simulator and the
-//! Theorem 1.4/1.5 colorings, via the shared `dcl_sim::test_util` helpers
-//! (this file only contributes the MPC runners).
+//! Parallel vs sequential backend equivalence for the Theorem 1.4/1.5 MPC
+//! colorings, whose seed-segment candidates the parallel backend scores on
+//! the pool.
 
 use dcl_coloring::instance::ListInstance;
 use dcl_graphs::{generators, validation};
-use dcl_mpc::machine::Mpc;
 use dcl_mpc::{mpc_color_linear_with, mpc_color_sublinear_with};
 use dcl_par::Backend;
-use dcl_sim::test_util::{assert_backend_equivalent, assert_eq_sides, assert_round_equivalence};
 use dcl_sim::ExecConfig;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -20,11 +17,12 @@ proptest! {
     fn mpc_linear_equivalence(n in 6usize..26, p in 0.1f64..0.35, seed in any::<u64>()) {
         let g = generators::gnp(n, p, seed);
         let inst = ListInstance::degree_plus_one(g.clone());
-        let seq = assert_backend_equivalent(3, |backend| {
+        let run = |backend| {
             let r = mpc_color_linear_with(&inst, &ExecConfig::default().with_backend(backend));
             (r.colors, r.metrics)
-        })
-        .map_err(TestCaseError::Fail)?;
+        };
+        let seq = run(Backend::Sequential);
+        prop_assert_eq!(&seq, &run(Backend::Parallel(3)));
         prop_assert_eq!(validation::check_proper(&g, &seq.0), None);
     }
 
@@ -33,26 +31,11 @@ proptest! {
     fn mpc_sublinear_equivalence(n in 8usize..22, seed in any::<u64>()) {
         let g = generators::gnp(n, 0.25, seed);
         let inst = ListInstance::degree_plus_one(g.clone());
-        assert_backend_equivalent(4, |backend| {
-            let r = mpc_color_sublinear_with(&inst, 0.6, &ExecConfig::default().with_backend(backend));
+        let run = |backend| {
+            let exec = ExecConfig::default().with_backend(backend);
+            let r = mpc_color_sublinear_with(&inst, 0.6, &exec);
             (r.colors, r.metrics)
-        })
-        .map_err(TestCaseError::Fail)?;
-    }
-
-    /// Raw MPC rounds deliver identical inboxes and metrics per backend.
-    #[test]
-    fn mpc_round_equivalence(machines in 2usize..50, seed in any::<u64>(), threads in 2usize..6) {
-        let sender = |i: usize| -> Vec<(usize, u64)> {
-            (0..machines)
-                .filter(|&d| d != i && (d + i + seed as usize).is_multiple_of(4))
-                .map(|d| (d, (i * machines + d) as u64))
-                .collect()
         };
-        let mut seq = Mpc::new(machines, 4 * machines.max(4));
-        let mut par = Mpc::with_backend(machines, 4 * machines.max(4), Backend::Parallel(threads));
-        assert_round_equivalence(2, || (seq.round(sender), par.round(sender)))
-            .map_err(TestCaseError::Fail)?;
-        assert_eq_sides("metrics", seq.metrics(), par.metrics()).map_err(TestCaseError::Fail)?;
+        prop_assert_eq!(run(Backend::Sequential), run(Backend::Parallel(4)));
     }
 }

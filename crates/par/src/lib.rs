@@ -4,9 +4,10 @@
 //! provides the minimal deterministic parallel primitive the drivers need:
 //! evaluate a pure per-index function over `0..jobs` on a fixed set of worker
 //! threads and hand the results back *in index order*. The [`Backend`] enum is
-//! the user-facing knob: every simulator (`dcl_congest::Network`,
-//! `dcl_clique::CliqueNetwork`, `dcl_mpc::Mpc`) accepts it and holds a
-//! [`Pool`] when it is [`Backend::Parallel`]. The pool runs local per-node
+//! the user-facing knob: a simulator (`dcl_congest::Network`,
+//! `dcl_clique::CliqueNetwork`, `dcl_mpc::Mpc`) built by `from_exec` with a
+//! [`Backend::Parallel`] config holds a [`Pool`] for its whole life (the
+//! engine builds it once). The pool runs local per-node
 //! computation between rounds (Lemma 2.6's per-edge conditional
 //! expectations, the seed-segment argmin); the rounds themselves always run
 //! on the calling thread.

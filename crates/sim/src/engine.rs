@@ -7,10 +7,10 @@
 //! [`Topology`] policy plus whatever cost events its model charges — ~100
 //! lines of policy instead of a hand-rolled runtime.
 //!
-//! Rounds run on the calling thread. The engine's [`Pool`] (sized by the
-//! [`Backend`] knob) serves only the drivers' local computation between
-//! rounds, through [`RoundEngine::pool`] and [`argmin_f64`] (`DESIGN.md`
-//! §5).
+//! Rounds run on the calling thread. The engine's [`Pool`], built once by
+//! [`RoundEngine::new`] from a [`Backend`], serves only the drivers' local
+//! computation between rounds, through [`RoundEngine::pool`] and
+//! [`argmin_f64`] (`DESIGN.md` §5).
 
 use crate::cap::BandwidthCap;
 use crate::metrics::SimMetrics;
@@ -38,14 +38,14 @@ pub enum SendPolicy {
     Fragment,
 }
 
-/// Round executor: a [`TransportSpec`] knob selecting which transport tier
-/// carries each round's messages (in-memory reference or localhost
-/// sockets — results are bit-identical across tiers), plus the worker pool
-/// a [`Backend`] knob sizes for the drivers' local computation.
+/// Round executor: the [`TransportSpec`] tier that carries each round's
+/// messages (in-memory reference or localhost sockets — results are
+/// bit-identical across tiers), plus the worker pool a [`Backend`] sizes
+/// for the drivers' local computation. Both are fixed when the engine is
+/// built.
 #[derive(Debug)]
 pub struct RoundEngine {
-    backend: Backend,
-    /// Worker pool, present only when `backend` is effectively parallel.
+    /// Worker pool, present only when the backend is effectively parallel.
     pool: Option<Pool>,
     transport_spec: TransportSpec,
     /// The socket transport, created lazily on the first shipped round
@@ -55,47 +55,18 @@ pub struct RoundEngine {
 }
 
 impl RoundEngine {
-    /// An engine whose local-computation pool follows `backend` (on the
-    /// [`TransportSpec::Local`] reference transport).
+    /// An engine whose local-computation pool follows `backend` and whose
+    /// rounds travel over `transport`. Rounds always run on the calling
+    /// thread, so results are bit-identical across backends and tiers; only
+    /// the drivers' wall-clock and the physical layer (metered by
+    /// [`RoundEngine::transport_stats`]) change.
     #[must_use]
-    pub fn new(backend: Backend) -> Self {
-        let mut engine = RoundEngine {
-            backend: Backend::Sequential,
-            pool: None,
-            transport_spec: TransportSpec::default(),
+    pub fn new(backend: Backend, transport: TransportSpec) -> Self {
+        RoundEngine {
+            pool: backend.is_parallel().then(|| Pool::new(backend.threads())),
+            transport_spec: transport,
             transport: None,
-        };
-        engine.set_backend(backend);
-        engine
-    }
-
-    /// Switches the local-computation backend. Rounds always run on the
-    /// calling thread, so results are bit-identical across backends; only
-    /// the drivers' wall-clock changes.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-        self.pool = backend.is_parallel().then(|| Pool::new(backend.threads()));
-    }
-
-    /// The active local-computation backend.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Switches the transport tier. Results (inboxes, metrics, intentional
-    /// panics) are bit-identical across tiers; only the physical layer —
-    /// and the [`TransportStats`] it meters — changes. Any previously built
-    /// transport is dropped (closing its sockets).
-    pub fn set_transport(&mut self, spec: TransportSpec) {
-        self.transport_spec = spec;
-        self.transport = None;
-    }
-
-    /// The active transport tier.
-    #[must_use]
-    pub fn transport_spec(&self) -> TransportSpec {
-        self.transport_spec
+        }
     }
 
     /// Physical-layer counters of the built transport. `None` until a round
@@ -445,7 +416,7 @@ mod tests {
     #[test]
     fn message_round_delivers_and_meters() {
         let topo = AllPairsTopology::new(3);
-        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let mut metrics = SimMetrics::default();
         let inboxes = engine.message_round(
             &topo,
@@ -468,7 +439,7 @@ mod tests {
     fn fragmented_round_stretches_to_widest_message() {
         let g = generators::path(3);
         let topo = NeighborTopology::new(&g);
-        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let cap = BandwidthCap::new(7);
         let mut metrics = SimMetrics::default();
         // Node 0 sends a 20-bit payload (3 fragments at 7 bits).
@@ -496,7 +467,7 @@ mod tests {
                 .map(|&u| (u, (v + u) as u64))
                 .collect()
         };
-        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let topo = NeighborTopology::new(&g);
         let mut strict = SimMetrics::default();
         let mut frag = SimMetrics::default();
@@ -517,7 +488,7 @@ mod tests {
     #[test]
     fn empty_round_still_costs_one_round() {
         let topo = AllPairsTopology::new(0);
-        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let mut metrics = SimMetrics::default();
         let inboxes: Inboxes<u32> = engine.message_round(
             &topo,
@@ -535,7 +506,7 @@ mod tests {
         // The round loop accounts straight into the caller's metrics: counts
         // add up across rounds and the widest message is a running maximum.
         let topo = AllPairsTopology::new(3);
-        let mut engine = RoundEngine::new(Backend::Parallel(2));
+        let mut engine = RoundEngine::new(Backend::Parallel(2), TransportSpec::Local);
         let cap = BandwidthCap::two_words();
         let mut metrics = SimMetrics::default();
         let _ = engine.message_round(&topo, cap, SendPolicy::Strict, &mut metrics, |v| {
@@ -563,7 +534,7 @@ mod tests {
         // sender `u` must not count as a duplicate for a later sender.
         let g = generators::star(4);
         let topo = NeighborTopology::new(&g);
-        let mut engine = RoundEngine::new(Backend::Sequential);
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let mut metrics = SimMetrics::default();
         let inboxes = engine.message_round(
             &topo,

@@ -30,17 +30,20 @@
 //!
 //! Each model crate (`dcl_congest`, `dcl_clique`, `dcl_mpc`) is a thin
 //! policy on top: a [`Topology`], the model's default cap, and its charged
-//! cost events.
+//! cost events. Its `from_exec` constructor is the one place an
+//! [`ExecConfig`]'s backend and transport reach the engine.
 //!
 //! # Examples
 //!
 //! ```
 //! use dcl_par::Backend;
-//! use dcl_sim::{AllPairsTopology, BandwidthCap, RoundEngine, SendPolicy, SimMetrics};
+//! use dcl_sim::{
+//!     AllPairsTopology, BandwidthCap, RoundEngine, SendPolicy, SimMetrics, TransportSpec,
+//! };
 //!
 //! // Three endpoints, all-pairs unicast, two-word cap.
 //! let topo = AllPairsTopology::new(3);
-//! let mut engine = RoundEngine::new(Backend::Sequential);
+//! let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
 //! let mut metrics = SimMetrics::default();
 //! let inboxes = engine.message_round(
 //!     &topo,
@@ -64,9 +67,6 @@ pub mod metrics;
 pub mod topology;
 pub mod transport;
 pub mod wire;
-
-#[cfg(feature = "test-util")]
-pub mod test_util;
 
 pub use cap::BandwidthCap;
 pub use dcl_par::{Backend, Pool};

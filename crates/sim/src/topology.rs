@@ -31,7 +31,7 @@ use dcl_graphs::Graph;
 /// may message node 0:
 ///
 /// ```
-/// use dcl_sim::{BandwidthCap, RoundEngine, SendPolicy, SimMetrics, Topology};
+/// use dcl_sim::{BandwidthCap, RoundEngine, SendPolicy, SimMetrics, Topology, TransportSpec};
 /// use dcl_par::Backend;
 ///
 /// struct StarTopology {
@@ -58,7 +58,7 @@ use dcl_graphs::Graph;
 /// // The model's simulator is now ~20 lines: hold an engine + metrics and
 /// // forward rounds.
 /// let topo = StarTopology { n: 5 };
-/// let mut engine = RoundEngine::new(Backend::Sequential);
+/// let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
 /// let mut metrics = SimMetrics::default();
 /// let inboxes = engine.message_round(
 ///     &topo,

@@ -3,7 +3,7 @@
 
 use dcl_graphs::generators;
 use dcl_par::Backend;
-use dcl_sim::{BandwidthCap, NeighborTopology, RoundEngine, SendPolicy, SimMetrics};
+use dcl_sim::{BandwidthCap, NeighborTopology, RoundEngine, SendPolicy, SimMetrics, TransportSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// messaging its real neighbors) and returns the panic message, if any.
 fn round_panic_message(g: &dcl_graphs::Graph, sender_node: usize, target: usize) -> Option<String> {
     let topo = NeighborTopology::new(g);
-    let mut engine = RoundEngine::new(Backend::Sequential);
+    let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
     let mut metrics = SimMetrics::default();
     let result = catch_unwind(AssertUnwindSafe(|| {
         engine.message_round(

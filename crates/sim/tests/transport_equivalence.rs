@@ -36,8 +36,7 @@ fn scripted_run<T: Topology>(
         SendPolicy::Strict => cap.bits().min(64),
         SendPolicy::Fragment => 64,
     };
-    let mut engine = RoundEngine::new(Backend::Sequential);
-    engine.set_transport(spec);
+    let mut engine = RoundEngine::new(Backend::Sequential, spec);
     let mut metrics = SimMetrics::default();
     let mut history = Vec::new();
     for r in 0..rounds {
@@ -182,8 +181,7 @@ fn cap_violation_panics_identically_on_every_tier() {
     let mut payloads = Vec::new();
     for spec in TransportSpec::all() {
         let topo = NeighborTopology::new(&g);
-        let mut engine = RoundEngine::new(Backend::Sequential);
-        engine.set_transport(spec);
+        let mut engine = RoundEngine::new(Backend::Sequential, spec);
         let mut metrics = SimMetrics::default();
         let result = catch_unwind(AssertUnwindSafe(|| {
             engine.message_round(&topo, cap, SendPolicy::Strict, &mut metrics, |u| {
