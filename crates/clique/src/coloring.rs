@@ -165,8 +165,8 @@ pub fn clique_color(
                 out
             };
             let msgs: Vec<(usize, usize, (u64, u64))> = (0..n).flat_map(node_msgs).collect();
-            if message_count <= n {
-                let _ = net.lenzen_route(msgs);
+            let inboxes = if message_count <= n {
+                net.lenzen_route(msgs)
             } else {
                 // Tiny instance: a constant number of plain rounds suffices
                 // — stretched by the widest record's fragment count, exactly
@@ -179,19 +179,27 @@ pub fn clique_color(
                 net.charge_rounds(
                     msgs.len().div_ceil(n.max(2) - 1) as u64 * u64::from(max_fragments),
                 );
+                net.ship(msgs)
+            };
+            // Leader solves greedily on the collected instance alone: a
+            // list record names an active node (every residual list is
+            // non-empty) and carries its colors in list order; an edge
+            // record joins two active nodes.
+            let mut lists: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for &(_, (a, b)) in &inboxes[leader] {
+                if a & 1 << 63 != 0 {
+                    lists[(a & !(1 << 63)) as usize].push(b);
+                } else {
+                    adjacency[a as usize].push(b as usize);
+                    adjacency[b as usize].push(a as usize);
+                }
             }
-            // Leader solves greedily on the collected instance.
-            let order: Vec<usize> = (0..n).filter(|&v| active[v]).collect();
+            let order: Vec<usize> = (0..n).filter(|&v| !lists[v].is_empty()).collect();
             let mut local: Vec<Option<u64>> = vec![None; n];
             for &v in &order {
-                let taken: Vec<u64> = g
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&u| active[u])
-                    .filter_map(|&u| local[u])
-                    .collect();
-                let c = residual
-                    .list(v)
+                let taken: Vec<u64> = adjacency[v].iter().filter_map(|&u| local[u]).collect();
+                let c = lists[v]
                     .iter()
                     .copied()
                     .find(|c| !taken.contains(c))
@@ -411,6 +419,23 @@ mod tests {
             small.metrics.rounds,
             large.metrics.rounds
         );
+    }
+
+    #[test]
+    fn both_collect_branches_ship_over_sockets_bit_identically() {
+        // path(4) collects at once through the tiny-instance branch; the
+        // random graph iterates first and collects through Lenzen routing.
+        let tcp = ExecConfig::default().with_transport(dcl_sim::TransportSpec::Tcp);
+        for g in [generators::path(4), generators::gnp(24, 0.25, 1)] {
+            let inst = ListInstance::degree_plus_one(g.clone());
+            let local = clique_color(&inst, &CliqueColoringConfig::default());
+            let sockets = clique_color(&inst, &CliqueColoringConfig::default().with_exec(tcp));
+            assert_eq!(validation::check_proper(&g, &sockets.colors), None);
+            assert_eq!(sockets.colors, local.colors);
+            assert_eq!(sockets.metrics, local.metrics);
+            assert_eq!(sockets.iterations, local.iterations);
+            assert_eq!(sockets.collected_nodes, local.collected_nodes);
+        }
     }
 
     #[test]

@@ -1,28 +1,27 @@
 //! CONGESTED CLIQUE simulator.
 //!
 //! Each round, every node may send one `O(log n)`-bit message to *every*
-//! other node (unicast: different messages to different peers). The
-//! simulator enforces per-node send budgets and meters rounds, messages and
-//! bits. Bulk data movement uses [`CliqueNetwork::lenzen_route`], the
-//! cost-model form of Lenzen's deterministic routing theorem \[Len13\]: any
-//! instance where every node sends and receives at most `n` messages is
-//! delivered in `O(1)` (charged: 2) rounds.
+//! other node (unicast: different messages to different peers). Bulk data
+//! movement uses [`CliqueNetwork::lenzen_route`], the cost-model form of
+//! Lenzen's deterministic routing theorem \[Len13\]: any instance where
+//! every node sends and receives at most `n` messages is delivered in
+//! `O(1)` (charged: 2) rounds. Every other step of the clique algorithms is
+//! a charged formula ([`CliqueNetwork::charge_rounds`]).
 //!
-//! The runtime — the round loop, duplicate-recipient validation, cap
-//! enforcement, cost metering — lives in [`dcl_sim`]; this module is the
-//! clique *policy*: all-pairs unicast ([`AllPairsTopology`]), the two-word
-//! default cap, and the Lenzen-routing cost model.
+//! The runtime — cost metering, the transport tier — lives in [`dcl_sim`];
+//! this module is the clique *policy*: the two-word default cap, the
+//! Lenzen budgets and cost model, and delivery of the routed records over
+//! the selected transport through [`dcl_sim::RoundEngine::ship`].
 
 use dcl_par::{Backend, Pool};
 use dcl_sim::wire::Wire;
-use dcl_sim::{
-    AllPairsTopology, BandwidthCap, RoundEngine, SendPolicy, Topology, TransportSpec,
-    TransportStats,
-};
+use dcl_sim::{BandwidthCap, RoundEngine, SendPolicy, TransportSpec, TransportStats};
 
 /// Cost counters of a [`CliqueNetwork`] (the shared
 /// [`dcl_sim::SimMetrics`]).
 pub use dcl_sim::SimMetrics as CliqueMetrics;
+
+pub use dcl_sim::Inboxes;
 
 /// A congested clique on `n` nodes.
 ///
@@ -32,21 +31,18 @@ pub use dcl_sim::SimMetrics as CliqueMetrics;
 /// use dcl_clique::network::CliqueNetwork;
 ///
 /// let mut net = CliqueNetwork::new(4, 64);
-/// // Node 0 sends its id to everyone else.
-/// let inboxes = net.round(|v| if v == 0 { vec![(1, 7u32), (2, 7), (3, 7)] } else { vec![] });
-/// assert_eq!(inboxes[3], vec![(0, 7)]);
-/// assert_eq!(net.metrics().rounds, 1);
+/// // Nodes 0 and 3 route records to node 1; node 0 sends two.
+/// let inboxes = net.lenzen_route(vec![(3, 1, 9u32), (0, 1, 7), (0, 1, 8)]);
+/// assert_eq!(inboxes[1], vec![(0, 7), (0, 8), (3, 9)]);
+/// assert_eq!(net.metrics().rounds, 2);
 /// ```
 #[derive(Debug)]
 pub struct CliqueNetwork {
-    topo: AllPairsTopology,
+    n: usize,
     cap: BandwidthCap,
     metrics: CliqueMetrics,
     engine: RoundEngine,
 }
-
-/// Per-node inboxes: `(sender, payload)` pairs.
-pub type Inboxes<M> = Vec<Vec<(usize, M)>>;
 
 impl CliqueNetwork {
     /// Creates a clique of `n` nodes with a per-message cap in bits.
@@ -61,7 +57,7 @@ impl CliqueNetwork {
     /// Creates a clique of `n` nodes with an explicit [`BandwidthCap`].
     pub fn with_cap(n: usize, cap: BandwidthCap) -> Self {
         CliqueNetwork {
-            topo: AllPairsTopology::new(n),
+            n,
             cap,
             metrics: CliqueMetrics::default(),
             engine: RoundEngine::new(Backend::Sequential, TransportSpec::Local),
@@ -76,10 +72,9 @@ impl CliqueNetwork {
 
     /// Creates a clique from an [`dcl_sim::ExecConfig`]: the config's cap
     /// override if set, else the two-word default; the config's backend and
-    /// transport tier, fixed for the clique's life. Results are
-    /// bit-identical across backends and tiers. Charged collectives
-    /// ([`CliqueNetwork::lenzen_route`]) deliver centrally on every tier:
-    /// they are cost-model shortcuts, not stepped rounds.
+    /// transport tier, fixed for the clique's life. Lenzen-routed records
+    /// travel over that tier; results are bit-identical across backends and
+    /// tiers.
     pub fn from_exec(n: usize, exec: &dcl_sim::ExecConfig) -> Self {
         CliqueNetwork {
             engine: RoundEngine::new(exec.backend, exec.transport),
@@ -103,7 +98,7 @@ impl CliqueNetwork {
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.topo.len()
+        self.n
     }
 
     /// The per-message bandwidth cap.
@@ -121,39 +116,18 @@ impl CliqueNetwork {
         self.metrics.rounds
     }
 
-    /// One synchronous round: `sender(v)` lists `(recipient, payload)`
-    /// pairs — at most one message per ordered pair per round.
+    /// Lenzen routing: delivers an arbitrary multiset of `(src, dst,
+    /// payload)` records — repeated pairs and self-addressed records
+    /// included — in a charged constant number of rounds (2 per fragment of
+    /// the widest payload — 2 exactly at any cap that fits every payload),
+    /// after verifying the theorem's precondition that every node sends at
+    /// most `n` and receives at most `n` messages. Payloads wider than the
+    /// cap fragment into `⌈bits / cap⌉` cap-sized messages, which is what
+    /// keeps the routing runnable under swept caps.
     ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range recipients, self-messages, duplicate
-    /// recipients, or oversized payloads. After a panic the metrics are
-    /// unspecified.
-    ///
-    /// `sender` is called once per node, in node order, on the calling
-    /// thread under every backend; messages merge into the inboxes in
-    /// sender order.
-    pub fn round<M, F>(&mut self, sender: F) -> Inboxes<M>
-    where
-        M: Wire,
-        F: Fn(usize) -> Vec<(usize, M)>,
-    {
-        self.engine.message_round(
-            &self.topo,
-            self.cap,
-            SendPolicy::Strict,
-            &mut self.metrics,
-            sender,
-        )
-    }
-
-    /// Lenzen routing: delivers an arbitrary multiset of messages in a
-    /// charged constant number of rounds (2 per fragment of the widest
-    /// payload — 2 exactly at any cap that fits every payload), after
-    /// verifying the theorem's precondition that every node sends at most
-    /// `n` and receives at most `n` messages. Payloads wider than the cap
-    /// fragment into `⌈bits / cap⌉` cap-sized messages, which is what keeps
-    /// the routing runnable under swept caps.
+    /// The records then travel over the clique's transport tier, grouped by
+    /// sender: `inboxes[v]` lists `(sender, payload)` pairs in sender order,
+    /// each sender's records in their input order.
     ///
     /// # Panics
     ///
@@ -163,12 +137,11 @@ impl CliqueNetwork {
     where
         M: Wire,
     {
-        let n = self.n();
+        let n = self.n;
         let mut sent = vec![0usize; n];
         let mut received = vec![0usize; n];
-        let mut inboxes: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
         let mut max_fragments = 1u32;
-        for (src, dst, msg) in messages {
+        for &(src, dst, ref msg) in &messages {
             assert!(src < n && dst < n, "endpoint out of range");
             sent[src] += 1;
             received[dst] += 1;
@@ -179,10 +152,26 @@ impl CliqueNetwork {
             );
             max_fragments =
                 max_fragments.max(self.metrics.account_fragmented(self.cap, msg.wire_bits()));
-            inboxes[dst].push((src, msg));
         }
         self.metrics.rounds += 2 * u64::from(max_fragments);
-        inboxes
+        self.ship(messages)
+    }
+
+    /// Ships `(src, dst, payload)` records over the transport tier, grouped
+    /// by sender, under the fragmenting policy at the clique's cap. Meters
+    /// nothing into the [`CliqueMetrics`]: callers charge the delivery.
+    pub(crate) fn ship<M: Wire>(&mut self, records: Vec<(usize, usize, M)>) -> Inboxes<M> {
+        let mut outgoing: Vec<Vec<(usize, M)>> = (0..self.n).map(|_| Vec::new()).collect();
+        for (src, dst, msg) in records {
+            outgoing[src].push((dst, msg));
+        }
+        self.engine.ship(
+            self.n,
+            "clique",
+            Some(self.cap),
+            SendPolicy::Fragment,
+            outgoing,
+        )
     }
 
     /// Charges `rounds` rounds without traffic (for schedule steps whose
@@ -195,65 +184,6 @@ impl CliqueNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_unicast_delivery() {
-        let mut net = CliqueNetwork::with_default_cap(3);
-        let inboxes = net.round(|v| match v {
-            0 => vec![(1, 10u32), (2, 20u32)],
-            1 => vec![(2, 30u32)],
-            _ => vec![],
-        });
-        assert_eq!(inboxes[1], vec![(0, 10)]);
-        let mut got = inboxes[2].clone();
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 20), (1, 30)]);
-        assert_eq!(net.metrics().messages, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "to itself")]
-    fn self_message_panics() {
-        let mut net = CliqueNetwork::with_default_cap(2);
-        let _ = net.round(|v| if v == 0 { vec![(0, 1u32)] } else { vec![] });
-    }
-
-    #[test]
-    #[should_panic(expected = "two messages")]
-    fn duplicate_recipient_panics() {
-        let mut net = CliqueNetwork::with_default_cap(2);
-        let _ = net.round(|v| {
-            if v == 0 {
-                vec![(1, 1u32), (1, 2u32)]
-            } else {
-                vec![]
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds clique cap")]
-    fn oversized_message_panics() {
-        let mut net = CliqueNetwork::new(2, 4);
-        let _ = net.round(|v| if v == 0 { vec![(1, 255u32)] } else { vec![] });
-    }
-
-    #[test]
-    fn round_runs_a_non_sync_sender_once_per_node_in_order() {
-        // `Cell` is not `Sync`: rounds accept it because the senders run on
-        // the calling thread, even when the backend sizes a pool.
-        let exec = dcl_sim::ExecConfig::default().with_backend(Backend::Parallel(2));
-        let mut net = CliqueNetwork::from_exec(40, &exec);
-        let calls = std::cell::Cell::new(0usize);
-        let inboxes = net.round(|v| {
-            assert_eq!(calls.get(), v, "senders run in node order");
-            calls.set(v + 1);
-            vec![((v + 1) % 40, v as u32)]
-        });
-        assert_eq!(calls.get(), 40);
-        assert_eq!(inboxes[0], vec![(39, 39)]);
-        assert_eq!(net.metrics().messages, 40);
-    }
 
     #[test]
     fn lenzen_routing_charges_two_rounds() {
@@ -286,25 +216,52 @@ mod tests {
     }
 
     #[test]
-    fn tcp_matches_the_local_reference_bit_for_bit() {
-        let sender = |v: usize| -> Vec<(usize, u64)> {
-            (0..16usize)
-                .filter(|&u| u != v && (u + v).is_multiple_of(3))
-                .map(|u| (u, (v * 100 + u) as u64))
-                .collect()
+    fn lenzen_route_on_sockets_matches_the_local_reference() {
+        // Repeated (src, dst) pairs, a self-addressed record, and payloads
+        // far wider than every swept cap; node 3's record to node 1 comes
+        // first but is delivered after node 0's (sender order).
+        let msgs = || -> Vec<(usize, usize, u64)> {
+            vec![
+                (3, 1, 7),
+                (0, 1, u64::MAX),
+                (0, 1, 0xFFFF),
+                (2, 2, 1 << 40),
+                (5, 0, 300),
+                (1, 4, 1),
+                (5, 0, 0xABCD_EF01),
+            ]
         };
-        let mut reference = CliqueNetwork::with_default_cap(16);
-        let rounds_ref = [reference.round(sender), reference.round(sender)];
-        let exec = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
-        let mut net = CliqueNetwork::from_exec(16, &exec);
-        assert_eq!(rounds_ref[0], net.round(sender));
-        assert_eq!(rounds_ref[1], net.round(sender));
-        assert_eq!(reference.metrics(), net.metrics());
-        // Lenzen routing is a charged collective: central delivery, no
-        // transport frames.
-        let frames_before = net.transport_stats().map_or(0, |s| s.frames);
-        let _ = net.lenzen_route(vec![(0, 1, 5u32), (3, 2, 6u32)]);
-        assert_eq!(net.transport_stats().map_or(0, |s| s.frames), frames_before);
+        let tcp = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
+        for cap_bits in 3u32..10 {
+            let cap = BandwidthCap::new(cap_bits);
+            let mut reference = CliqueNetwork::with_cap(6, cap);
+            let expected = reference.lenzen_route(msgs());
+            assert_eq!(expected[1], vec![(0, u64::MAX), (0, 0xFFFF), (3, 7)]);
+            assert_eq!(expected[2], vec![(2, 1 << 40)]);
+            let mut net = CliqueNetwork::from_exec(6, &tcp.with_cap(cap));
+            let inboxes = net.lenzen_route(msgs());
+            assert_eq!(inboxes, expected, "inboxes diverged at cap {cap_bits}");
+            assert_eq!(net.metrics(), reference.metrics(), "cap {cap_bits}");
+            // The socket tier's counters, recounted from the delivered
+            // inboxes: one frame per record, its codec bytes, and
+            // ⌈bytes / MTU⌉ packets at the cap's whole-byte MTU.
+            let mtu = (cap_bits as usize).div_ceil(8);
+            let (mut frames, mut payload_bytes, mut packets) = (0, 0, 0);
+            for (_, msg) in inboxes.iter().flatten() {
+                let mut bytes = Vec::new();
+                msg.wire_encode(&mut bytes);
+                frames += 1;
+                payload_bytes += bytes.len() as u64;
+                packets += bytes.len().div_ceil(mtu).max(1) as u64;
+            }
+            let stats = net.transport_stats().expect("the socket tier meters");
+            assert_eq!(frames, 7);
+            assert_eq!(
+                (stats.frames, stats.payload_bytes, stats.packets),
+                (frames, payload_bytes, packets),
+                "cap {cap_bits}"
+            );
+        }
     }
 
     #[test]
@@ -313,5 +270,75 @@ mod tests {
         let mut net = CliqueNetwork::with_default_cap(2);
         let msgs = vec![(0, 1, 1u32), (0, 1, 2u32), (0, 1, 3u32)];
         let _ = net.lenzen_route(msgs);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 exceeds the Lenzen receive budget")]
+    fn lenzen_receive_budget_enforced() {
+        let mut net = CliqueNetwork::with_default_cap(3);
+        // Every sender stays within its budget; node 2 receives 4 > n.
+        let msgs = vec![(0, 2, 1u32), (1, 2, 2), (2, 2, 3), (0, 2, 4)];
+        let _ = net.lenzen_route(msgs);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint out of range")]
+    fn lenzen_route_rejects_an_out_of_range_sender() {
+        let mut net = CliqueNetwork::with_default_cap(3);
+        let _ = net.lenzen_route(vec![(3, 0, 1u32)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint out of range")]
+    fn lenzen_route_rejects_an_out_of_range_recipient() {
+        let mut net = CliqueNetwork::with_default_cap(3);
+        let _ = net.lenzen_route(vec![(0, 3, 1u32)]);
+    }
+
+    #[test]
+    fn lenzen_budget_check_fires_before_anything_ships() {
+        let tcp = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
+        let mut net = CliqueNetwork::from_exec(2, &tcp);
+        let over_budget = vec![(0, 1, 1u32), (0, 1, 2), (0, 1, 3)];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.lenzen_route(over_budget)
+        }));
+        assert!(result.is_err(), "node 0 sends 3 > n records");
+        assert_eq!(net.rounds(), 0, "a rejected route charges nothing");
+        assert!(
+            net.transport_stats().is_none(),
+            "a rejected route never builds the socket tier"
+        );
+    }
+
+    #[test]
+    fn empty_lenzen_route_still_charges_two_rounds() {
+        let mut net = CliqueNetwork::with_default_cap(4);
+        let inboxes = net.lenzen_route(Vec::<(usize, usize, u32)>::new());
+        assert_eq!(inboxes, vec![Vec::new(); 4]);
+        assert_eq!(net.metrics().rounds, 2);
+        assert_eq!(net.metrics().messages, 0);
+    }
+
+    #[test]
+    fn ship_delivers_over_sockets_but_meters_nothing() {
+        let tcp = dcl_sim::ExecConfig::default().with_transport(TransportSpec::Tcp);
+        let mut net = CliqueNetwork::from_exec(3, &tcp.with_cap(BandwidthCap::new(5)));
+        let inboxes = net.ship(vec![(2, 0, 0xFFu64), (1, 0, 3), (0, 0, 1), (2, 0, 4)]);
+        assert_eq!(inboxes[0], vec![(0, 1), (1, 3), (2, 0xFF), (2, 4)]);
+        assert_eq!(net.metrics(), CliqueMetrics::default());
+        let stats = net.transport_stats().expect("the socket tier meters");
+        assert_eq!(stats.frames, 4);
+    }
+
+    #[test]
+    fn from_exec_applies_the_cap_override_or_the_two_word_default() {
+        let exec = dcl_sim::ExecConfig::default();
+        let net = CliqueNetwork::from_exec(5, &exec);
+        assert_eq!(net.cap(), BandwidthCap::two_words());
+        assert_eq!(net.n(), 5);
+        assert!(net.transport_stats().is_none(), "Local never serializes");
+        let capped = CliqueNetwork::from_exec(5, &exec.with_cap(BandwidthCap::new(7)));
+        assert_eq!(capped.cap(), BandwidthCap::new(7));
     }
 }

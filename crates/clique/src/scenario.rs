@@ -2,10 +2,10 @@
 //!
 //! Thin adapter over [`clique_color`] (which stays public).
 //!
-//! The full `ExecConfig` is honored, transport tier included: the stepped
-//! clique rounds ship through the selected tier while the Lenzen-routed
-//! collectives stay centrally delivered cost-model shortcuts on every tier
-//! (`DESIGN.md` §7), so the `Report` is bit-identical across
+//! The full `ExecConfig` is honored, transport tier included: the final
+//! collect's Lenzen-routed records ship through the selected tier and the
+//! leader colors from what it received, while every other step is a
+//! charged formula (`DESIGN.md` §7). The `Report` is bit-identical across
 //! `TransportSpec`s (pinned by `tests/transport_oracle.rs`).
 
 use crate::coloring::{clique_color, CliqueColoringConfig};

@@ -18,9 +18,7 @@ use dcl_sim::{
 /// [`dcl_sim::SimMetrics`]).
 pub use dcl_sim::SimMetrics as Metrics;
 
-/// Per-node inboxes produced by a communication round: `inboxes[v]` holds
-/// `(sender, payload)` pairs.
-pub type Inboxes<M> = Vec<Vec<(NodeId, M)>>;
+pub use dcl_sim::Inboxes;
 
 /// A CONGEST network over a graph.
 ///

@@ -11,9 +11,10 @@
 //! [`DeltaError`] instead of a panic.
 //!
 //! The pipeline (`DESIGN.md` §2.2b) runs end to end on one metered
-//! [`dcl_congest::Network`] — i.e. on the `dcl_sim` `Topology`/`RoundEngine`
-//! runtime — so the backend knob and every swept [`dcl_sim::BandwidthCap`]
-//! down to `⌈log₂ n⌉` bits apply to the whole algorithm:
+//! [`dcl_congest::Network`] — i.e. on the `dcl_sim`
+//! `NeighborTopology`/`RoundEngine` runtime — so the backend knob and every
+//! swept [`dcl_sim::BandwidthCap`] down to `⌈log₂ n⌉` bits apply to the
+//! whole algorithm:
 //!
 //! 1. **Obstruction detection** ([`obstruction`]): two real rounds (degrees,
 //!    then adjacency lists, fragmented under small caps) let every node

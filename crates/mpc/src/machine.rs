@@ -7,16 +7,15 @@
 //! [`Mpc::assert_storage`] for algorithms to declare their resident state
 //! (checked against the memory bound).
 //!
-//! Rounds ship through the shared [`dcl_sim`] round engine
-//! ([`dcl_sim::MachineTopology`] is the addressing policy: any machine may
-//! message any machine, repeatedly); the volume budgets are MPC-specific
-//! and are replayed message-by-message in machine order, since receive
-//! budgets couple different senders.
+//! Any machine may message any machine, repeatedly: the model bounds
+//! per-machine send/receive *volume*, not pair multiplicity. The volume
+//! budgets are replayed message-by-message in machine order, since receive
+//! budgets couple different senders, and the validated round then ships
+//! through the shared [`dcl_sim`] round engine's transport tier.
 
 use dcl_par::{Backend, Pool};
 use dcl_sim::{
-    ExecConfig, MachineTopology, RoundEngine, SendPolicy, SimMetrics, Topology, TransportSpec,
-    TransportStats, Wire,
+    ExecConfig, RoundEngine, SendPolicy, SimMetrics, TransportSpec, TransportStats, Wire,
 };
 
 /// Word size of message payloads.
@@ -108,7 +107,7 @@ impl From<MpcMetrics> for SimMetrics {
 /// ```
 #[derive(Debug)]
 pub struct Mpc {
-    topo: MachineTopology,
+    machines: usize,
     memory_words: usize,
     /// Budget slack constant: per-round send/receive and storage may reach
     /// `slack · S` (the model's `O(S)`).
@@ -119,8 +118,7 @@ pub struct Mpc {
     engine: RoundEngine,
 }
 
-/// Per-machine inboxes: `(sender, payload)` pairs.
-pub type Inboxes<M> = Vec<Vec<(usize, M)>>;
+pub use dcl_sim::Inboxes;
 
 impl Mpc {
     /// Creates a cluster of `machines` machines with `memory_words`-word
@@ -133,7 +131,7 @@ impl Mpc {
         assert!(machines > 0, "need at least one machine");
         assert!(memory_words > 0, "memory must be positive");
         Mpc {
-            topo: MachineTopology::new(machines),
+            machines,
             memory_words,
             slack: 4,
             metrics: SimMetrics::default(),
@@ -169,7 +167,7 @@ impl Mpc {
 
     /// Number of machines.
     pub fn machines(&self) -> usize {
-        self.topo.len()
+        self.machines
     }
 
     /// Memory size `S` in words.
@@ -220,7 +218,7 @@ impl Mpc {
             let mut row = Vec::with_capacity(msgs.len());
             for (dst, msg) in msgs {
                 let w = msg.words();
-                let _ = self.topo.route(i, dst);
+                assert!(dst < machines, "machine {dst} out of range");
                 sent += w;
                 received[dst] += w;
                 assert!(
@@ -284,6 +282,13 @@ mod tests {
         assert_eq!(inboxes[1], vec![(0, 5)]);
         assert_eq!(inboxes[2], vec![(1, 6)]);
         assert_eq!(mpc.metrics().words, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 3 out of range")]
+    fn round_rejects_an_unknown_machine() {
+        let mut mpc = Mpc::new(3, 10);
+        let _ = mpc.round(|i| if i == 1 { vec![(3usize, 1u64)] } else { vec![] });
     }
 
     #[test]
@@ -354,16 +359,23 @@ mod tests {
 
     #[test]
     fn tcp_matches_the_local_reference_bit_for_bit() {
+        // Machine 0 sends to machine 4 twice in one round: MPC tools send
+        // repeated (src, dst) pairs, which arrive in per-link FIFO order.
         let sender = |i: usize| -> Vec<(usize, (u64, u64))> {
-            (0..12usize)
+            let mut msgs: Vec<(usize, (u64, u64))> = (0..12usize)
                 .filter(|&d| d != i && (d + i).is_multiple_of(4))
                 .map(|d| (d, ((i * 100 + d) as u64, i as u64)))
-                .collect()
+                .collect();
+            if i == 0 {
+                msgs.push((4, (7, 0)));
+            }
+            msgs
         };
         let mut reference = Mpc::new(12, 50);
         let rounds_ref = [reference.round(sender), reference.round(sender)];
         let exec = ExecConfig::default().with_transport(TransportSpec::Tcp);
         let mut mpc = Mpc::from_exec(12, 50, &exec);
+        assert_eq!(rounds_ref[0][4][..2], [(0, (4, 0)), (0, (7, 0))]);
         assert_eq!(rounds_ref[0], mpc.round(sender));
         assert_eq!(rounds_ref[1], mpc.round(sender));
         assert_eq!(reference.metrics(), mpc.metrics());

@@ -3,9 +3,10 @@
 //! One round loop owns everything the three models used to duplicate:
 //! evaluating the per-node `sender` closures in node order, the stamp-mark
 //! duplicate-send check, [`SimMetrics`] accounting, and the sender-order
-//! merge into per-recipient inboxes. A simulator is the engine plus a
-//! [`Topology`] policy plus whatever cost events its model charges — ~100
-//! lines of policy instead of a hand-rolled runtime.
+//! merge into per-recipient inboxes. A simulator is the engine plus its
+//! model's addressing and cost events: CONGEST rounds go through
+//! [`NeighborTopology`]; the clique and MPC validate their own traffic and
+//! hand it to [`RoundEngine::ship`].
 //!
 //! Rounds run on the calling thread. The engine's [`Pool`], built once by
 //! [`RoundEngine::new`] from a [`Backend`], serves only the drivers' local
@@ -14,7 +15,7 @@
 
 use crate::cap::BandwidthCap;
 use crate::metrics::SimMetrics;
-use crate::topology::{validate_sends, NeighborTopology, Topology};
+use crate::topology::{validate_sends, NeighborTopology, MODEL};
 use crate::transport::{Frame, RoundLimits, TcpTransport, TransportSpec, TransportStats};
 use crate::wire::Wire;
 use dcl_par::{Backend, Pool};
@@ -194,21 +195,21 @@ impl RoundEngine {
         self.pool.as_ref()
     }
 
-    /// Runs one synchronous unicast round over `topo`: `sender(u)` returns
-    /// the messages endpoint `u` sends as `(recipient, payload)` pairs.
+    /// Runs one synchronous CONGEST unicast round over `topo`: `sender(u)`
+    /// returns the messages node `u` sends as `(neighbor, payload)` pairs.
     /// Senders run in node order on the calling thread, each followed by
     /// its validation (addressing, duplicate sends, cap) and cost
     /// accounting; messages merge into the inboxes in sender order.
     ///
     /// # Panics
     ///
-    /// Panics if a message violates `topo`'s addressing, if an endpoint
-    /// sends twice to the same recipient in one round (when `topo` enables
-    /// the duplicate check), or — under [`SendPolicy::Strict`] — if a
-    /// payload exceeds `cap`. After a panic the metrics are unspecified.
-    pub fn message_round<M, T, F>(
+    /// Panics if a message targets a non-neighbor, if a node sends twice
+    /// to the same neighbor in one round, or — under
+    /// [`SendPolicy::Strict`] — if a payload exceeds `cap`. After a panic
+    /// the metrics are unspecified.
+    pub fn message_round<M, F>(
         &mut self,
-        topo: &T,
+        topo: &NeighborTopology<'_>,
         cap: BandwidthCap,
         policy: SendPolicy,
         metrics: &mut SimMetrics,
@@ -216,10 +217,9 @@ impl RoundEngine {
     ) -> Inboxes<M>
     where
         M: Wire,
-        T: Topology,
         F: Fn(usize) -> Vec<(usize, M)>,
     {
-        let n = topo.len();
+        let n = topo.graph().n();
         let (outgoing, round_cost) = fan_out(
             n,
             topo.marks_len(),
@@ -230,7 +230,7 @@ impl RoundEngine {
             },
         );
         metrics.rounds += u64::from(round_cost);
-        self.ship(n, topo.model(), Some(cap), policy, outgoing)
+        self.ship(n, MODEL, Some(cap), policy, outgoing)
     }
 
     /// Runs one broadcast round over a [`NeighborTopology`]: every node
@@ -254,8 +254,8 @@ impl RoundEngine {
         M: Wire + Clone,
         F: Fn(usize) -> Option<M>,
     {
-        let n = topo.len();
         let graph = topo.graph();
+        let n = graph.n();
         let (payloads, round_cost) = fan_out(
             n,
             0,
@@ -272,8 +272,7 @@ impl RoundEngine {
                     SendPolicy::Strict => {
                         assert!(
                             cap.fits(bits),
-                            "message of {bits} bits exceeds {} cap of {} bits",
-                            topo.model(),
+                            "message of {bits} bits exceeds {MODEL} cap of {} bits",
                             cap.bits()
                         );
                         local.messages += deg;
@@ -307,7 +306,7 @@ impl RoundEngine {
                 None => Vec::new(),
             })
             .collect();
-        self.ship(n, topo.model(), Some(cap), policy, outgoing)
+        self.ship(n, MODEL, Some(cap), policy, outgoing)
     }
 }
 
@@ -317,7 +316,7 @@ impl RoundEngine {
 /// items and the maximum value `validate` returned (the fragment-stretched
 /// round cost; 1 when `n == 0`).
 ///
-/// This is the single round loop under all three simulators. It runs on
+/// This is the round loop under every stepped CONGEST round. It runs on
 /// the calling thread: rounds are cheap next to the drivers' local
 /// computation, which is what the pool is for (`DESIGN.md` §5).
 fn fan_out<T>(
@@ -410,12 +409,12 @@ fn first_min(scores: impl IntoIterator<Item = f64>) -> (f64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::AllPairsTopology;
-    use dcl_graphs::generators;
+    use dcl_graphs::{generators, Graph};
 
     #[test]
     fn message_round_delivers_and_meters() {
-        let topo = AllPairsTopology::new(3);
+        let g = generators::complete(3);
+        let topo = NeighborTopology::new(&g);
         let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let mut metrics = SimMetrics::default();
         let inboxes = engine.message_round(
@@ -487,7 +486,8 @@ mod tests {
 
     #[test]
     fn empty_round_still_costs_one_round() {
-        let topo = AllPairsTopology::new(0);
+        let g = Graph::empty(0);
+        let topo = NeighborTopology::new(&g);
         let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
         let mut metrics = SimMetrics::default();
         let inboxes: Inboxes<u32> = engine.message_round(
@@ -505,7 +505,8 @@ mod tests {
     fn rounds_accumulate_into_the_callers_metrics() {
         // The round loop accounts straight into the caller's metrics: counts
         // add up across rounds and the widest message is a running maximum.
-        let topo = AllPairsTopology::new(3);
+        let g = generators::complete(3);
+        let topo = NeighborTopology::new(&g);
         let mut engine = RoundEngine::new(Backend::Parallel(2), TransportSpec::Local);
         let cap = BandwidthCap::two_words();
         let mut metrics = SimMetrics::default();
@@ -551,6 +552,27 @@ mod tests {
         );
         assert_eq!(inboxes[0], vec![(1, 1), (2, 2), (3, 3)]);
         assert_eq!(metrics.messages, 3);
+    }
+
+    #[test]
+    fn ship_rebuilds_the_socket_tier_when_the_endpoint_count_changes() {
+        let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Tcp);
+        let first = engine.ship(3, "test", None, SendPolicy::Strict, vec![vec![(2, 1u32)]]);
+        assert_eq!(first[2], vec![(0, 1)]);
+        assert_eq!(engine.transport_stats().map(|s| s.frames), Some(1));
+        // Five endpoints: a three-endpoint transport could not reach 4, so
+        // the engine builds a fresh one whose counters start at zero.
+        let outgoing = vec![
+            vec![],
+            vec![(4, 2u32), (4, 3)],
+            vec![],
+            vec![],
+            vec![(1, 4)],
+        ];
+        let second = engine.ship(5, "test", None, SendPolicy::Strict, outgoing);
+        assert_eq!(second[4], vec![(1, 2), (1, 3)]);
+        assert_eq!(second[1], vec![(4, 4)]);
+        assert_eq!(engine.transport_stats().map(|s| s.frames), Some(3));
     }
 
     #[test]

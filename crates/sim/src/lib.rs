@@ -11,11 +11,13 @@
 //!   default formula and the fragmentation rule for swept (small) caps;
 //! - [`metrics`] — [`SimMetrics`]: rounds / messages / bits /
 //!   max-message-width counters;
-//! - [`topology`] — the [`Topology`] policy trait (neighbor-only delivery
-//!   vs. all-pairs unicast vs. machine-addressed) with the
-//!   sorted-adjacency/stamp-mark duplicate-send validation;
+//! - [`topology`] — [`NeighborTopology`], CONGEST's neighbor-only
+//!   addressing with the sorted-adjacency/stamp-mark duplicate-send
+//!   validation;
 //! - [`engine`] — the [`RoundEngine`]: one sequential round loop owning
-//!   validation, accounting and the sender-order inbox merge, plus the
+//!   validation, accounting and the sender-order inbox merge,
+//!   [`RoundEngine::ship`] (the one delivery path every model's traffic
+//!   takes over the selected transport), plus the
 //!   worker pool for the drivers' local computation and the deterministic
 //!   [`argmin_f64`] used by their central loops;
 //! - [`deadline`] — [`Deadline`]/[`deadline::park_tick`]: the workspace's
@@ -29,20 +31,25 @@
 //!   driver config embeds.
 //!
 //! Each model crate (`dcl_congest`, `dcl_clique`, `dcl_mpc`) is a thin
-//! policy on top: a [`Topology`], the model's default cap, and its charged
-//! cost events. Its `from_exec` constructor is the one place an
-//! [`ExecConfig`]'s backend and transport reach the engine.
+//! policy on top: its addressing rule, the model's default cap, and its
+//! charged cost events. CONGEST's stepped rounds run the engine's round
+//! loop over a [`NeighborTopology`]; the clique's Lenzen routes and MPC's
+//! machine rounds check their own budgets and ship through
+//! [`RoundEngine::ship`]. Each model's `from_exec` constructor is the one
+//! place an [`ExecConfig`]'s backend and transport reach the engine.
 //!
 //! # Examples
 //!
 //! ```
+//! use dcl_graphs::generators;
 //! use dcl_par::Backend;
 //! use dcl_sim::{
-//!     AllPairsTopology, BandwidthCap, RoundEngine, SendPolicy, SimMetrics, TransportSpec,
+//!     BandwidthCap, NeighborTopology, RoundEngine, SendPolicy, SimMetrics, TransportSpec,
 //! };
 //!
-//! // Three endpoints, all-pairs unicast, two-word cap.
-//! let topo = AllPairsTopology::new(3);
+//! // A triangle, neighbor-only delivery, two-word cap.
+//! let g = generators::complete(3);
+//! let topo = NeighborTopology::new(&g);
 //! let mut engine = RoundEngine::new(Backend::Sequential, TransportSpec::Local);
 //! let mut metrics = SimMetrics::default();
 //! let inboxes = engine.message_round(
@@ -74,7 +81,7 @@ pub use deadline::Deadline;
 pub use engine::{argmin_f64, Inboxes, RoundEngine, SendPolicy};
 pub use exec::ExecConfig;
 pub use metrics::SimMetrics;
-pub use topology::{AllPairsTopology, MachineTopology, NeighborTopology, Topology};
+pub use topology::NeighborTopology;
 pub use transport::{
     Frame, FrameReader, RoundLimits, TcpTransport, TransportError, TransportSpec, TransportStats,
 };

@@ -1,5 +1,6 @@
-//! Cross-transport determinism properties: for every [`Topology`] policy,
-//! a scripted multi-round conversation produces bit-identical inboxes and
+//! Cross-transport determinism properties: a scripted multi-round CONGEST
+//! conversation, and any-to-any traffic handed straight to
+//! [`RoundEngine::ship`], produce bit-identical inboxes and
 //! [`SimMetrics`] whether the messages travel through the in-memory
 //! reference ([`TransportSpec::Local`]) or real localhost sockets
 //! ([`TransportSpec::Tcp`]), with caps swept down to `⌈log₂ n⌉` bits. The
@@ -10,23 +11,22 @@
 use dcl_graphs::{generators, Graph};
 use dcl_par::Backend;
 use dcl_sim::{
-    AllPairsTopology, BandwidthCap, Inboxes, MachineTopology, NeighborTopology, RoundEngine,
-    SendPolicy, SimMetrics, Topology, TransportSpec, TransportStats, Wire,
+    BandwidthCap, Inboxes, NeighborTopology, RoundEngine, SendPolicy, SimMetrics, TransportSpec,
+    TransportStats, Wire,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One scripted run: `rounds` unicast rounds over `topo`, each endpoint
-/// messaging a deterministic, `salt`-dependent subset of its peers with
+/// One scripted run: `rounds` unicast rounds over `topo`, each node
+/// messaging a deterministic, `salt`-dependent subset of its neighbors with
 /// payloads as wide as the policy allows — up to the cap under
 /// [`SendPolicy::Strict`], full 64-bit words (which fragment) under
 /// [`SendPolicy::Fragment`] — so payloads span several MTU-sized packets.
 /// Returns every inbox and the accumulated metrics plus the transport's
 /// byte-level statistics.
-fn scripted_run<T: Topology>(
+fn scripted_run(
     spec: TransportSpec,
-    topo: &T,
-    peers_of: &dyn Fn(usize) -> Vec<usize>,
+    topo: &NeighborTopology<'_>,
     cap: BandwidthCap,
     policy: SendPolicy,
     rounds: usize,
@@ -41,8 +41,10 @@ fn scripted_run<T: Topology>(
     let mut history = Vec::new();
     for r in 0..rounds {
         let inboxes = engine.message_round(topo, cap, policy, &mut metrics, |u| {
-            peers_of(u)
-                .into_iter()
+            topo.graph()
+                .neighbors(u)
+                .iter()
+                .copied()
                 .filter(|&v| !(u + v + r).is_multiple_of(3))
                 .map(|v| {
                     let h = ((u * 131 + v + r) as u64)
@@ -77,8 +79,12 @@ fn recount(history: &[Inboxes<u64>], cap: BandwidthCap) -> (u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// CONGEST (neighbor) topology: inboxes and metrics are bit-identical
-    /// on every transport tier, at caps down to `⌈log₂ n⌉`.
+    /// CONGEST (neighbor) rounds: inboxes and metrics are bit-identical on
+    /// every transport tier, at caps down to `⌈log₂ n⌉`, under both send
+    /// policies — cap-wide payloads under [`SendPolicy::Strict`], 64-bit
+    /// payloads that fragment under [`SendPolicy::Fragment`] — and the
+    /// socket tier meters one frame per logical message with MTU-sized
+    /// packets.
     #[test]
     fn neighbor_rounds_are_transport_identical(
         n in 6usize..28,
@@ -86,22 +92,25 @@ proptest! {
         seed in any::<u64>(),
         salt in any::<u64>(),
         cap_mult in 1u32..4,
+        policy in any::<bool>().prop_map(|fragment| {
+            if fragment { SendPolicy::Fragment } else { SendPolicy::Strict }
+        }),
     ) {
         let g = generators::gnp(n, p, seed);
         let topo = NeighborTopology::new(&g);
         let log_n = (usize::BITS - (n - 1).leading_zeros()).max(1);
         let cap = BandwidthCap::new(cap_mult * log_n);
-        let peers = |u: usize| g.neighbors(u).to_vec();
         let (reference, ref_metrics, ref_stats) = scripted_run(
-            TransportSpec::Local, &topo, &peers,
-            cap, SendPolicy::Strict, 3, salt,
+            TransportSpec::Local, &topo, cap, policy, 3, salt,
         );
         prop_assert!(ref_stats.is_none(), "the local tier has no byte layer");
         let expected = recount(&reference, cap);
-        prop_assert_eq!(expected.0, ref_metrics.messages, "one frame per logical message");
+        if policy == SendPolicy::Strict {
+            prop_assert_eq!(expected.0, ref_metrics.messages, "one frame per logical message");
+        }
         for spec in TransportSpec::all() {
             let (history, metrics, stats) = scripted_run(
-                spec, &topo, &peers, cap, SendPolicy::Strict, 3, salt,
+                spec, &topo, cap, policy, 3, salt,
             );
             prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
             prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
@@ -115,58 +124,59 @@ proptest! {
         }
     }
 
-    /// Clique (all-pairs) topology under the fragmenting policy: wide
-    /// payloads fragment identically on both tiers, and the socket tier
-    /// meters one frame per logical message with MTU-sized packets.
+    /// Any-to-any traffic handed straight to [`RoundEngine::ship`] — the
+    /// path the clique's Lenzen routes and MPC rounds take — with repeated
+    /// `(src, dst)` pairs and self-addressed records: every tier delivers
+    /// the sender-order merge of the input (each link FIFO), and the socket
+    /// tier meters one frame per record with MTU-sized packets at the cap
+    /// (one packet per frame when the round is uncapped).
     #[test]
-    fn clique_fragmentation_is_transport_identical(
-        n in 4usize..16,
+    fn shipped_rounds_are_transport_identical(
+        n in 2usize..14,
         salt in any::<u64>(),
-        cap_bits in 3u32..10,
+        capped in any::<bool>(),
     ) {
-        let topo = AllPairsTopology::new(n);
-        let cap = BandwidthCap::new(cap_bits);
-        let peers = |u: usize| (0..n).filter(|&v| v != u).collect::<Vec<_>>();
-        let (reference, ref_metrics, _) = scripted_run(
-            TransportSpec::Local, &topo, &peers,
-            cap, SendPolicy::Fragment, 2, salt,
-        );
-        let expected = recount(&reference, cap);
-        for spec in TransportSpec::all() {
-            let (history, metrics, stats) = scripted_run(
-                spec, &topo, &peers, cap, SendPolicy::Fragment, 2, salt,
-            );
-            prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
-            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
-            match spec {
-                TransportSpec::Local => prop_assert!(stats.is_none()),
-                TransportSpec::Tcp => {
-                    let s = stats.unwrap();
-                    prop_assert_eq!((s.frames, s.payload_bytes, s.packets), expected);
-                }
+        let (cap, policy) = if capped {
+            (Some(BandwidthCap::new(3 + (salt % 7) as u32)), SendPolicy::Fragment)
+        } else {
+            (None, SendPolicy::Strict)
+        };
+        let outgoing = || -> Vec<Vec<(usize, u64)>> {
+            (0..n)
+                .map(|u| {
+                    (0..(salt as usize + u) % 5)
+                        .map(|k| {
+                            let h = ((u * 31 + k) as u64)
+                                .wrapping_add(salt)
+                                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            // Recipients repeat (k and k + 2 often collide
+                            // modulo n) and include u itself.
+                            ((u + k * k) % n, h >> (h % 64))
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let mut expected: Inboxes<u64> = vec![Vec::new(); n];
+        for (u, msgs) in outgoing().into_iter().enumerate() {
+            for (v, msg) in msgs {
+                expected[v].push((u, msg));
             }
         }
-    }
-
-    /// MPC (machine) topology: any-to-any rounds are transport-identical.
-    #[test]
-    fn machine_rounds_are_transport_identical(
-        machines in 2usize..12,
-        salt in any::<u64>(),
-    ) {
-        let topo = MachineTopology::new(machines);
-        let cap = BandwidthCap::new(64);
-        let peers = |u: usize| (0..machines).filter(|&v| v != u).collect::<Vec<_>>();
-        let (reference, ref_metrics, _) = scripted_run(
-            TransportSpec::Local, &topo, &peers,
-            cap, SendPolicy::Strict, 2, salt,
-        );
         for spec in TransportSpec::all() {
-            let (history, metrics, _) = scripted_run(
-                spec, &topo, &peers, cap, SendPolicy::Strict, 2, salt,
-            );
-            prop_assert_eq!(&history, &reference, "inboxes diverged on {}", spec);
-            prop_assert_eq!(&metrics, &ref_metrics, "metrics diverged on {}", spec);
+            let mut engine = RoundEngine::new(Backend::Sequential, spec);
+            let inboxes = engine.ship(n, "any-to-any", cap, policy, outgoing());
+            prop_assert_eq!(&inboxes, &expected, "inboxes diverged on {}", spec);
+            match spec {
+                TransportSpec::Local => prop_assert!(engine.transport_stats().is_none()),
+                TransportSpec::Tcp => {
+                    let s = engine.transport_stats().copied().unwrap();
+                    let (frames, payload_bytes, packets) =
+                        recount(std::slice::from_ref(&expected), cap.unwrap_or(BandwidthCap::new(1)));
+                    prop_assert_eq!((s.frames, s.payload_bytes), (frames, payload_bytes));
+                    prop_assert_eq!(s.packets, if capped { packets } else { frames });
+                }
+            }
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   digit DP and bit accounting): one safe implementation per entry
 //!   point, proven bit-identical to a reference oracle.
 //! - [`sim`] — the shared simulator runtime: wire accounting, bandwidth
-//!   caps ([`sim::BandwidthCap`]), unified metrics, topology policies and
-//!   the backend-aware round engine every model runs on.
+//!   caps ([`sim::BandwidthCap`]), unified metrics, CONGEST's neighbor
+//!   addressing and the backend-aware round engine every model runs on.
 //! - [`congest`] — CONGEST model simulator (rounds, bandwidth, BFS trees).
 //! - [`derand`] — hash families, biased coins, conditional expectations.
 //! - [`coloring`] — the paper's core algorithms (Algorithm 1, Lemmas 2.1–2.6,
