@@ -24,7 +24,7 @@ use dcl_congest::network::Network;
 use dcl_decomp::coloring::{color_via_decomposition, DecompColoringConfig};
 use dcl_decomp::rg::{decompose, RgConfig};
 use dcl_derand::seed::PartialSeed;
-use dcl_derand::slice::{BitForm, SliceFamily};
+use dcl_derand::slice::{PackedForms, SliceFamily};
 use dcl_graphs::generators;
 use dcl_kernels::digit_dp;
 use dcl_mpc::coloring::{mpc_color_linear, mpc_color_sublinear};
@@ -91,14 +91,14 @@ impl Registry {
     }
 }
 
-/// The Lemma 2.6 digit-DP fixture the `bench_derand` and `bench_kernels`
-/// rows share: a `b = 14`, `m = 10` family with every other seed bit fixed
-/// and the forms of two distinct inputs.
+/// The Lemma 2.6 digit-DP fixture of the `bench_derand` rows: a `b = 14`,
+/// `m = 10` family with every other seed bit fixed and the packed forms of
+/// two distinct inputs.
 struct DigitDpFixture {
     fam: SliceFamily,
     seed: PartialSeed,
-    fx: Vec<BitForm>,
-    fy: Vec<BitForm>,
+    sx: PackedForms,
+    sy: PackedForms,
 }
 
 impl DigitDpFixture {
@@ -111,9 +111,9 @@ impl DigitDpFixture {
         for i in (0..fam.seed_len()).step_by(2) {
             seed.fix(i, i % 4 == 0);
         }
-        let fx = fam.forms_for(&seed, Self::X);
-        let fy = fam.forms_for(&seed, Self::Y);
-        DigitDpFixture { fam, seed, fx, fy }
+        let sx = fam.packed_forms_for(&seed, Self::X);
+        let sy = fam.packed_forms_for(&seed, Self::Y);
+        DigitDpFixture { fam, seed, sx, sy }
     }
 }
 
@@ -175,14 +175,11 @@ pub fn micro_benches() -> Vec<MicroBench> {
     r.suite = "bench_derand";
     let dp = Rc::new(DigitDpFixture::new());
     let d = Rc::clone(&dp);
-    r.add("joint_coin_probs", move || {
-        d.fam.joint_coin_probs_forms(&d.fx, 9000, &d.fy, 4000)
+    r.add("joint_coin_probs_packed", move || {
+        digit_dp::joint_coin_probs_packed(&d.sx, 9000, &d.sy, 4000)
     });
-    let d = Rc::clone(&dp);
-    r.add("prob_lt", move || d.fam.prob_lt_forms(&d.fx, 9000));
-    let d = Rc::clone(&dp);
     r.add("forms_for", move || {
-        d.fam.forms_for(&d.seed, DigitDpFixture::X)
+        dp.fam.forms_for(&dp.seed, DigitDpFixture::X)
     });
 
     // E5: the network decomposition and the full Corollary 1.2 coloring.
@@ -259,14 +256,9 @@ pub fn micro_benches() -> Vec<MicroBench> {
         });
     }
 
-    // The kernels: the digit DP on the `bench_derand` fixture (so
-    // `kernels/digit_dp/joint_coin_probs` reads against `joint_coin_probs`),
-    // whole slice windows of `edge_shares_cached` from a fresh cache timed
-    // per call, and the candidate argmin.
+    // The kernels: whole slice windows of `edge_shares_cached` from a
+    // fresh cache timed per call, and the candidate argmin.
     r.suite = "bench_kernels";
-    r.add("kernels/digit_dp/joint_coin_probs", move || {
-        digit_dp::joint_coin_probs_override(&dp.fx, None, 9000, &dp.fy, None, 4000)
-    });
     let mut window = EdgeShareWindow::new();
     r.add("kernels/digit_dp/edge_shares", move || window.run())
         .calls = EdgeShareWindow::EVALS;

@@ -169,10 +169,6 @@ pub fn color_list_instance_on(
                 }
             }
         }
-        debug_assert!(
-            residual.slack_holds(&active),
-            "slack lost on residual instance"
-        );
         outcomes.push(outcome);
     }
 

@@ -17,7 +17,6 @@
 //! subset of the communication graph's).
 
 use dcl_congest::network::Network;
-use dcl_derand::kwise::next_prime;
 use dcl_graphs::NodeId;
 
 /// Result of [`linial_coloring`].
@@ -45,6 +44,73 @@ fn step_parameters(palette: u64, delta: u64) -> (u64, u32) {
         }
         q += 1;
     }
+}
+
+/// Deterministic Miller–Rabin primality test, exact for all `u64` inputs
+/// (uses the standard 12-base witness set).
+fn is_prime(n: u64) -> bool {
+    if n < 2 {
+        return false;
+    }
+    for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+        if n == p {
+            return true;
+        }
+        if n.is_multiple_of(p) {
+            return false;
+        }
+    }
+    let mut d = n - 1;
+    let mut r = 0u32;
+    while d.is_multiple_of(2) {
+        d /= 2;
+        r += 1;
+    }
+    'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+        let mut x = pow_mod(a, d, n);
+        if x == 1 || x == n - 1 {
+            continue;
+        }
+        for _ in 0..r - 1 {
+            x = mul_mod(x, x, n);
+            if x == n - 1 {
+                continue 'witness;
+            }
+        }
+        return false;
+    }
+    true
+}
+
+/// Smallest prime `≥ n`. Panics if no prime `≥ n` fits in `u64` (never
+/// happens for `n ≤ 2^63`).
+fn next_prime(n: u64) -> u64 {
+    let mut candidate = n.max(2);
+    loop {
+        if is_prime(candidate) {
+            return candidate;
+        }
+        candidate = candidate
+            .checked_add(1)
+            .expect("prime search overflowed u64");
+    }
+}
+
+fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+    ((u128::from(a) * u128::from(b)) % u128::from(m)) as u64
+}
+
+fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+    let mut acc = 1u64 % m;
+    base %= m;
+    while exp > 0 {
+        if exp & 1 == 1 {
+            acc = mul_mod(acc, base, m);
+        }
+        base = mul_mod(base, base, m);
+        exp >>= 1;
+    }
+    acc
 }
 
 /// Number of base-`q` digits needed for values in `[palette]` (at least 1).
@@ -198,6 +264,42 @@ mod tests {
                 .filter(|&&u| active[u])
                 .all(|&u| colors[u] != colors[v])
         })
+    }
+
+    #[test]
+    fn primality_matches_trial_division() {
+        fn trial(n: u64) -> bool {
+            if n < 2 {
+                return false;
+            }
+            let mut d = 2;
+            while d * d <= n {
+                if n.is_multiple_of(d) {
+                    return false;
+                }
+                d += 1;
+            }
+            true
+        }
+        for n in 0..2000u64 {
+            assert_eq!(is_prime(n), trial(n), "disagreement at {n}");
+        }
+    }
+
+    #[test]
+    fn primality_on_large_known_values() {
+        assert!(is_prime(2_147_483_647)); // 2^31 - 1
+        assert!(!is_prime(2_147_483_649));
+        assert!(is_prime(1_000_000_007));
+        assert!(!is_prime(1_000_000_007u64 * 998_244_353));
+    }
+
+    #[test]
+    fn next_prime_finds_smallest() {
+        assert_eq!(next_prime(0), 2);
+        assert_eq!(next_prime(14), 17);
+        assert_eq!(next_prime(17), 17);
+        assert_eq!(next_prime(90), 97);
     }
 
     #[test]

@@ -322,6 +322,33 @@ mod tests {
         assert_eq!(out.active_count, 0);
     }
 
+    /// The release guard on the residual instance: `ListInstance::new`
+    /// rejects short lists, so the slack can only be lost by deleting a
+    /// color — here node 0 of `path(3)` keeps one color and one active
+    /// neighbor.
+    #[test]
+    #[should_panic(expected = "instance violates the (degree+1) slack")]
+    fn rejects_an_instance_without_slack() {
+        let mut inst = ListInstance::new(
+            generators::path(3),
+            4,
+            vec![vec![0, 1], vec![0, 1, 2], vec![1, 2]],
+        )
+        .unwrap();
+        inst.remove_color(0, 0);
+        let mut net = Network::with_default_cap(inst.graph(), inst.color_space());
+        let forest = build_bfs_forest(&mut net);
+        let _ = partial_coloring(
+            &mut net,
+            &forest,
+            &inst,
+            &[true; 3],
+            &[0, 1, 2],
+            3,
+            PartialConfig::default(),
+        );
+    }
+
     #[test]
     fn edgeless_graph_colors_everyone_in_one_shot() {
         let g = dcl_graphs::Graph::empty(7);

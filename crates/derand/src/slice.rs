@@ -20,14 +20,16 @@
 //! pair of inputs, the joint distribution of the two output bits at each
 //! position falls into one of five closed-form cases ([`PairDist`]), and the
 //! positions are independent — so `Pr[z(x) < T_x ∧ z(y) < T_y]` is computed
-//! by an exact `O(b)`-time digit DP ([`SliceFamily::prob_joint_lt`]). This is
-//! what makes the method of conditional expectations (Lemma 2.6) efficiently
-//! implementable; see `DESIGN.md` §2.1.
+//! by an exact `O(b)`-time digit DP. This is what makes the method of
+//! conditional expectations (Lemma 2.6) efficiently implementable; see
+//! `DESIGN.md` §2.1.
 //!
-//! The DP itself ([`BitForm`], [`PairDist`], and the `prob_*` evaluators)
-//! lives in `dcl_kernels::digit_dp`, proven bit-identical to its reference
-//! oracle; this module re-exports the types and keeps the seed-aware API
-//! on top.
+//! The DP itself lives in `dcl_kernels::digit_dp`, proven bit-identical to
+//! its reference oracle. This module re-exports the form types
+//! ([`BitForm`], [`PairDist`], [`PackedForms`]) and builds the forms the
+//! kernels consume from a partial seed: [`SliceFamily::forms_for`] and
+//! [`SliceFamily::packed_forms_for`], kept current across fixes by
+//! [`SliceFamily::form_with_fix`].
 //!
 //! # The monotone seed-schedule contract
 //!
@@ -43,8 +45,8 @@
 //! slice and the digits below it, with the float operation sequence — and
 //! hence every probability, bit for bit — unchanged. The
 //! `schedule_is_slice_monotone` test pins the layout half of the
-//! contract; `update_forms_on_fix`'s implementation (and its
-//! `form_with_fix` mirror) pins the locality half.
+//! contract; `form_with_fix`, through which both update methods commit a
+//! fix, pins the locality half.
 
 use crate::seed::PartialSeed;
 
@@ -109,7 +111,7 @@ impl SliceFamily {
     ///
     /// Panics if `x` does not fit in `m` bits, `slice ≥ b`, or the seed has
     /// the wrong length.
-    pub fn bit_form(&self, seed: &PartialSeed, slice: u32, x: u64) -> BitForm {
+    fn bit_form(&self, seed: &PartialSeed, slice: u32, x: u64) -> BitForm {
         assert!(x >> self.m == 0, "input {x} wider than {} bits", self.m);
         assert!(slice < self.b, "slice out of range");
         assert_eq!(seed.len(), self.seed_len(), "seed length mismatch");
@@ -132,23 +134,22 @@ impl SliceFamily {
         }
     }
 
-    /// Joint distribution of output bit `slice` for the two inputs `x`, `y`.
-    pub fn pair_dist(&self, seed: &PartialSeed, slice: u32, x: u64, y: u64) -> PairDist {
-        let fx = self.bit_form(seed, slice, x);
-        let fy = self.bit_form(seed, slice, y);
-        pair_dist_of_forms(fx, fy)
-    }
-
     /// All `b` bit forms for input `x` (index `i` = output bit `i`).
     /// Callers on hot paths cache these per distinct input and update them
     /// incrementally with [`SliceFamily::update_forms_on_fix`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not fit in `m` bits or the seed has the wrong
+    /// length.
     pub fn forms_for(&self, seed: &PartialSeed, x: u64) -> Vec<BitForm> {
         (0..self.b).map(|i| self.bit_form(seed, i, x)).collect()
     }
 
     /// Incrementally updates cached `forms` (as produced by
     /// [`SliceFamily::forms_for`] for input `x`) after seed bit `index` was
-    /// fixed to `value`.
+    /// fixed to `value`: the form of the slice containing `index` becomes
+    /// its [`SliceFamily::form_with_fix`].
     ///
     /// # Panics
     ///
@@ -156,29 +157,27 @@ impl SliceFamily {
     pub fn update_forms_on_fix(&self, forms: &mut [BitForm], x: u64, index: usize, value: bool) {
         assert!(index < self.seed_len(), "seed bit index out of range");
         let slice = self.slice_of_seed_bit(index) as usize;
-        let within = index - slice * (self.m as usize + 1);
-        let form = &mut forms[slice];
-        if within == self.m as usize {
-            // The s_i bit.
-            debug_assert!(form.s_free, "s bit fixed twice");
-            form.s_free = false;
-            form.offset ^= value;
-        } else if x >> within & 1 == 1 {
-            debug_assert!(form.mask >> within & 1 == 1, "r bit fixed twice");
-            form.mask &= !(1u64 << within);
-            form.offset ^= value;
-        }
+        forms[slice] = self.form_with_fix(forms[slice], x, index, value);
     }
 
     /// A copy of `form` (the bit form of input `x` for the slice containing
-    /// seed bit `index`) after seed bit `index` is fixed to `value`. Pure
-    /// counterpart of [`SliceFamily::update_forms_on_fix`] used to evaluate
-    /// candidate bit values without mutating caches.
+    /// seed bit `index`) after seed bit `index` is fixed to `value` — the
+    /// one place the fix rule is written. The drivers evaluate both
+    /// candidate values through it, and [`SliceFamily::update_forms_on_fix`]
+    /// and [`SliceFamily::update_packed_on_fix`] commit the chosen one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range for the seed layout.
     pub fn form_with_fix(&self, mut form: BitForm, x: u64, index: usize, value: bool) -> BitForm {
         assert!(index < self.seed_len(), "seed bit index out of range");
         let slice = self.slice_of_seed_bit(index) as usize;
         let within = index - slice * (self.m as usize + 1);
+        // Debug-only on this hot path: every caller fixes the same index in
+        // a `PartialSeed` in the same step, and `PartialSeed::fix`
+        // release-asserts "seed bit {i} fixed twice".
         if within == self.m as usize {
+            // The s_i bit.
             debug_assert!(form.s_free, "s bit fixed twice");
             form.s_free = false;
             form.offset ^= value;
@@ -219,79 +218,6 @@ impl SliceFamily {
         packed.set_form(slice, updated);
     }
 
-    /// `Pr[z < t]` from precomputed bit forms.
-    pub fn prob_lt_forms(&self, forms: &[BitForm], t: u64) -> f64 {
-        self.prob_lt_override(forms, None, t)
-    }
-
-    /// [`SliceFamily::prob_lt_forms`] with one form overridden: position
-    /// `i` uses `f` instead of `forms[i]` when `over = Some((i, f))`.
-    pub fn prob_lt_override(
-        &self,
-        forms: &[BitForm],
-        over: Option<(usize, BitForm)>,
-        t: u64,
-    ) -> f64 {
-        debug_assert_eq!(forms.len(), self.b as usize, "forms length mismatch");
-        dcl_kernels::digit_dp::prob_lt_override(forms, over, t)
-    }
-
-    /// `Pr[z_x < t_x ∧ z_y < t_y]` from precomputed bit forms of the two
-    /// inputs (both under the *same* partial seed).
-    pub fn prob_joint_lt_forms(
-        &self,
-        forms_x: &[BitForm],
-        t_x: u64,
-        forms_y: &[BitForm],
-        t_y: u64,
-    ) -> f64 {
-        self.prob_joint_lt_override(forms_x, None, t_x, forms_y, None, t_y)
-    }
-
-    /// [`SliceFamily::prob_joint_lt_forms`] with per-input overrides at one
-    /// position each (used to evaluate a candidate value for a seed bit).
-    #[allow(clippy::too_many_arguments)]
-    pub fn prob_joint_lt_override(
-        &self,
-        forms_x: &[BitForm],
-        over_x: Option<(usize, BitForm)>,
-        t_x: u64,
-        forms_y: &[BitForm],
-        over_y: Option<(usize, BitForm)>,
-        t_y: u64,
-    ) -> f64 {
-        debug_assert_eq!(forms_x.len(), self.b as usize, "forms length mismatch");
-        dcl_kernels::digit_dp::prob_joint_lt_override(forms_x, over_x, t_x, forms_y, over_y, t_y)
-    }
-
-    /// Joint coin probabilities `[p00, p01, p10, p11]` from precomputed
-    /// forms.
-    pub fn joint_coin_probs_forms(
-        &self,
-        forms_x: &[BitForm],
-        t_x: u64,
-        forms_y: &[BitForm],
-        t_y: u64,
-    ) -> [f64; 4] {
-        self.joint_coin_probs_override(forms_x, None, t_x, forms_y, None, t_y)
-    }
-
-    /// [`SliceFamily::joint_coin_probs_forms`] with per-input overrides at
-    /// one position each.
-    #[allow(clippy::too_many_arguments)]
-    pub fn joint_coin_probs_override(
-        &self,
-        forms_x: &[BitForm],
-        over_x: Option<(usize, BitForm)>,
-        t_x: u64,
-        forms_y: &[BitForm],
-        over_y: Option<(usize, BitForm)>,
-        t_y: u64,
-    ) -> [f64; 4] {
-        debug_assert_eq!(forms_x.len(), self.b as usize, "forms length mismatch");
-        dcl_kernels::digit_dp::joint_coin_probs_override(forms_x, over_x, t_x, forms_y, over_y, t_y)
-    }
-
     /// Evaluates the hash on a fully fixed seed.
     ///
     /// # Panics
@@ -305,40 +231,6 @@ impl SliceFamily {
             z |= u64::from(form.offset) << i;
         }
         z
-    }
-
-    /// `Pr[z(x) < t]` over the free seed bits. `t` may be up to `2^b`
-    /// (inclusive), in which case the probability is 1.
-    pub fn prob_lt(&self, seed: &PartialSeed, x: u64, t: u64) -> f64 {
-        self.prob_lt_forms(&self.forms_for(seed, x), t)
-    }
-
-    /// `Pr[z(x) < t_x ∧ z(y) < t_y]` over the free seed bits, exact digit DP.
-    ///
-    /// States track, per coordinate, whether the output prefix is still equal
-    /// to the threshold prefix or already strictly less; mass where a
-    /// coordinate exceeds its threshold prefix is discarded.
-    pub fn prob_joint_lt(&self, seed: &PartialSeed, x: u64, t_x: u64, y: u64, t_y: u64) -> f64 {
-        self.prob_joint_lt_forms(&self.forms_for(seed, x), t_x, &self.forms_for(seed, y), t_y)
-    }
-
-    /// Joint probabilities of the two threshold coins
-    /// `(C_x, C_y) = ([z(x) < t_x], [z(y) < t_y])` as `[p00, p01, p10, p11]`.
-    pub fn joint_coin_probs(
-        &self,
-        seed: &PartialSeed,
-        x: u64,
-        t_x: u64,
-        y: u64,
-        t_y: u64,
-    ) -> [f64; 4] {
-        let p11 = self.prob_joint_lt(seed, x, t_x, y, t_y);
-        let px = self.prob_lt(seed, x, t_x);
-        let py = self.prob_lt(seed, y, t_y);
-        let p10 = (px - p11).max(0.0);
-        let p01 = (py - p11).max(0.0);
-        let p00 = (1.0 - px - py + p11).max(0.0);
-        [p00, p01, p10, p11]
     }
 }
 
@@ -361,6 +253,27 @@ pub fn coin_threshold(num: u64, den: u64, b: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcl_kernels::digit_dp::{joint_coin_probs_packed, reference};
+
+    /// `[p00, p01, p10, p11]` of the threshold coins `[z(x) < t_x]`,
+    /// `[z(y) < t_y]` through the clique/MPC drivers' kernel.
+    fn coin_probs(
+        fam: &SliceFamily,
+        seed: &PartialSeed,
+        x: u64,
+        t_x: u64,
+        y: u64,
+        t_y: u64,
+    ) -> [f64; 4] {
+        let (sx, sy) = (fam.packed_forms_for(seed, x), fam.packed_forms_for(seed, y));
+        joint_coin_probs_packed(&sx, t_x, &sy, t_y)
+    }
+
+    /// `Pr[z(x) < t]`: the joint coin DP with a certain second coin
+    /// resolves to the marginal DP, so `p11` is the marginal bit for bit.
+    fn prob_lt(fam: &SliceFamily, seed: &PartialSeed, x: u64, t: u64) -> f64 {
+        coin_probs(fam, seed, x, t, x, 1 << fam.output_bits())[3]
+    }
 
     /// Brute-force `Pr[pred(seed)]` by enumerating free seed bits.
     fn brute_force_prob(seed: &PartialSeed, mut pred: impl FnMut(&PartialSeed) -> bool) -> f64 {
@@ -419,7 +332,7 @@ mod tests {
         let seed = PartialSeed::new(fam.seed_len());
         for t in 0u64..=8 {
             let expected = t.min(8) as f64 / 8.0;
-            assert!((fam.prob_lt(&seed, 0b1011, t) - expected).abs() < 1e-12);
+            assert!((prob_lt(&fam, &seed, 0b1011, t) - expected).abs() < 1e-12);
         }
     }
 
@@ -434,7 +347,7 @@ mod tests {
             }
             for x in [0u64, 3, 5, 7] {
                 for t in [0u64, 1, 3, 5, 8] {
-                    let dp = fam.prob_lt(&seed, x, t);
+                    let dp = prob_lt(&fam, &seed, x, t);
                     let bf = brute_force_prob(&seed, |s| fam.evaluate(s, x) < t);
                     assert!((dp - bf).abs() < 1e-12, "x={x} t={t}: dp={dp} bf={bf}");
                 }
@@ -456,7 +369,7 @@ mod tests {
             }
             for (x, y) in [(1u64, 2u64), (3, 5), (6, 7), (0, 4)] {
                 for (tx, ty) in [(3u64, 5u64), (1, 8), (8, 8), (0, 4), (7, 2)] {
-                    let dp = fam.prob_joint_lt(&seed, x, tx, y, ty);
+                    let dp = coin_probs(&fam, &seed, x, tx, y, ty)[3];
                     let bf = brute_force_prob(&seed, |s| {
                         fam.evaluate(s, x) < tx && fam.evaluate(s, y) < ty
                     });
@@ -476,7 +389,7 @@ mod tests {
         // hence differently-colored — nodes, but the API stays correct).
         let fam = SliceFamily::new(2, 2);
         let seed = PartialSeed::new(fam.seed_len());
-        let p = fam.prob_joint_lt(&seed, 3, 2, 3, 3);
+        let p = coin_probs(&fam, &seed, 3, 2, 3, 3)[3];
         // z uniform on [4]: both events ⇔ z < 2 → 1/2.
         assert!((p - 0.5).abs() < 1e-12);
     }
@@ -487,7 +400,7 @@ mod tests {
         let mut seed = PartialSeed::new(fam.seed_len());
         seed.fix(0, true);
         seed.fix(5, false);
-        let q = fam.joint_coin_probs(&seed, 2, 7, 5, 12);
+        let q = coin_probs(&fam, &seed, 2, 7, 5, 12);
         let sum: f64 = q.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -511,9 +424,9 @@ mod tests {
         let z2 = fam.evaluate(&seed, 0b10110);
         assert_eq!(z1, z2);
         assert!(z1 < 16);
-        // prob_lt degenerates to an indicator.
-        assert_eq!(fam.prob_lt(&seed, 0b10110, z1), 0.0);
-        assert_eq!(fam.prob_lt(&seed, 0b10110, z1 + 1), 1.0);
+        // The marginal degenerates to an indicator.
+        assert_eq!(prob_lt(&fam, &seed, 0b10110, z1), 0.0);
+        assert_eq!(prob_lt(&fam, &seed, 0b10110, z1 + 1), 1.0);
     }
 
     #[test]
@@ -541,6 +454,9 @@ mod tests {
         }
     }
 
+    /// The seed-based packed forms the clique/MPC drivers start from equal
+    /// a pack of the AoS forms, and the packed kernel on them equals the
+    /// reference DP on the AoS forms bit for bit.
     #[test]
     fn forms_based_probs_match_seed_based() {
         let fam = SliceFamily::new(3, 4);
@@ -551,13 +467,20 @@ mod tests {
         for (x, y) in [(1u64, 6u64), (2, 5)] {
             let fx = fam.forms_for(&seed, x);
             let fy = fam.forms_for(&seed, y);
+            let (sx, sy) = (
+                fam.packed_forms_for(&seed, x),
+                fam.packed_forms_for(&seed, y),
+            );
+            for (i, (&f, &g)) in fx.iter().zip(&fy).enumerate() {
+                assert_eq!((sx.form(i), sy.form(i)), (f, g), "position {i}");
+            }
             for (tx, ty) in [(5u64, 9u64), (16, 3), (0, 12)] {
-                assert_eq!(fam.prob_lt(&seed, x, tx), fam.prob_lt_forms(&fx, tx));
+                let q = joint_coin_probs_packed(&sx, tx, &sy, ty);
                 assert_eq!(
-                    fam.prob_joint_lt(&seed, x, tx, y, ty),
-                    fam.prob_joint_lt_forms(&fx, tx, &fy, ty)
+                    q.map(f64::to_bits),
+                    reference::joint_coin_probs_override(&fx, None, tx, &fy, None, ty)
+                        .map(f64::to_bits)
                 );
-                let q = fam.joint_coin_probs_forms(&fx, tx, &fy, ty);
                 let sum: f64 = q.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-9);
             }
@@ -580,12 +503,12 @@ mod tests {
         let fam = SliceFamily::new(2, 63);
         let seed = PartialSeed::new(fam.seed_len());
         let full = 1u64 << 63;
-        assert_eq!(fam.prob_lt(&seed, 0b01, full), 1.0);
-        assert_eq!(fam.prob_lt(&seed, 0b01, full / 4), 0.25);
-        assert_eq!(fam.prob_lt(&seed, 0b01, 3), 3.0 / full as f64);
+        assert_eq!(prob_lt(&fam, &seed, 0b01, full), 1.0);
+        assert_eq!(prob_lt(&fam, &seed, 0b01, full / 4), 0.25);
+        assert_eq!(prob_lt(&fam, &seed, 0b01, 3), 3.0 / full as f64);
         // Distinct inputs are pairwise independent: Pr = 1/2 · 1/4.
         assert_eq!(
-            fam.prob_joint_lt(&seed, 0b01, full / 2, 0b10, full / 4),
+            coin_probs(&fam, &seed, 0b01, full / 2, 0b10, full / 4)[3],
             0.125
         );
     }
@@ -610,7 +533,8 @@ mod tests {
     }
 
     /// Packed scratch stays in lockstep with the AoS forms across a full
-    /// schedule of fixes, and the packed evaluators match the AoS ones.
+    /// schedule of fixes, and the packed kernel on it matches the reference
+    /// DP on the AoS forms.
     #[test]
     fn packed_forms_track_fixes() {
         let fam = SliceFamily::new(4, 3);
@@ -632,9 +556,9 @@ mod tests {
                 assert_eq!(packed_y.form(i), forms_y[i], "bit {index} position {i}");
             }
             for (tx, ty) in [(3u64, 7u64), (8, 8), (0, 5)] {
-                let aos = fam.joint_coin_probs_forms(&forms_x, tx, &forms_y, ty);
-                let packed =
-                    dcl_kernels::digit_dp::joint_coin_probs_packed(&packed_x, tx, &packed_y, ty);
+                let aos =
+                    reference::joint_coin_probs_override(&forms_x, None, tx, &forms_y, None, ty);
+                let packed = joint_coin_probs_packed(&packed_x, tx, &packed_y, ty);
                 assert_eq!(aos.map(f64::to_bits), packed.map(f64::to_bits));
             }
         }

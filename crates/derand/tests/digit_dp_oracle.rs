@@ -1,12 +1,14 @@
-//! Brute-force histogram oracle for the digit-DP kernels.
+//! Brute-force histogram oracle for the digit-DP kernels the drivers run.
 //!
 //! The equivalence suite in `dcl_kernels` proves every production entry
 //! point bit-identical to the reference oracle; this suite proves they
 //! agree with *the ground truth*: for every completion of a partial seed
 //! the hash output pair `(z_x, z_y)` is enumerated into an exact joint
-//! histogram, and the marginal DP, joint DP and four-outcome coin DP are
-//! checked against it for **every** threshold pair. The prefix-cached
-//! evaluator is additionally driven through real monotone seed schedules
+//! histogram, and the clique/MPC kernels are checked against it —
+//! `joint_coin_probs_packed`'s four coin outcomes for **every** threshold
+//! pair, and `joint_interval_packed` for **every** interval pair
+//! `[ul, uh) × [vl, vh)`. The prefix-cached evaluator behind Theorem 1.1's
+//! `edge_shares_cached` is driven through real monotone seed schedules
 //! (`SliceFamily` fixes in index order) with the warm cache checked
 //! against a fresh enumeration after every candidate evaluation.
 //!
@@ -16,8 +18,10 @@
 //! degenerate under refactoring.
 
 use dcl_derand::seed::PartialSeed;
-use dcl_derand::slice::{PairDist, SliceFamily};
-use dcl_kernels::digit_dp::{incremental, EdgeDpCache};
+use dcl_derand::slice::{pair_dist_of_forms, PackedForms, PairDist, SliceFamily};
+use dcl_kernels::digit_dp::{
+    incremental, joint_coin_probs_packed, joint_interval_packed, EdgeDpCache,
+};
 use proptest::prelude::*;
 
 /// Exact joint histogram of `(z_x, z_y)` over all completions of `seed` —
@@ -58,27 +62,30 @@ impl Histogram {
         }
         hits as f64 / self.total as f64
     }
+
+    /// `Pr[z_x ∈ [ul, uh) ∧ z_y ∈ [vl, vh)]`, summed cell by cell.
+    fn interval(&self, ul: u64, uh: u64, vl: u64, vh: u64) -> f64 {
+        let mut hits = 0u64;
+        for zx in ul as usize..uh as usize {
+            for zy in vl as usize..vh as usize {
+                hits += self.counts[zx * self.outs + zy];
+            }
+        }
+        hits as f64 / self.total as f64
+    }
 }
 
-/// Checks every DP entry point against the histogram for one threshold
-/// pair.
+/// Checks `joint_coin_probs_packed`'s four outcomes against the histogram
+/// for one threshold pair.
 fn check_thresholds(
-    fam: &SliceFamily,
-    seed: &PartialSeed,
+    sx: &PackedForms,
+    sy: &PackedForms,
     hist: &Histogram,
-    x: u64,
     tx: u64,
-    y: u64,
     ty: u64,
 ) -> Result<(), String> {
-    let px = fam.prob_lt(seed, x, tx);
-    let py = fam.prob_lt(seed, y, ty);
-    let pxy = fam.prob_joint_lt(seed, x, tx, y, ty);
-    let coins = fam.joint_coin_probs(seed, x, tx, y, ty);
+    let coins = joint_coin_probs_packed(sx, tx, sy, ty);
     let checks = [
-        ("marginal x", px, hist.prob(|zx, _| zx < tx)),
-        ("marginal y", py, hist.prob(|_, zy| zy < ty)),
-        ("joint", pxy, hist.prob(|zx, zy| zx < tx && zy < ty)),
         (
             "coin 00",
             coins[0],
@@ -98,11 +105,37 @@ fn check_thresholds(
     Ok(())
 }
 
+/// Checks `joint_interval_packed` against the histogram on every pair of
+/// intervals `[ul, uh) × [vl, vh)` with `0 ≤ ul ≤ uh ≤ 2^b` (and the same
+/// for `v`) — the bounds the clique/MPC drivers pass.
+fn check_intervals(
+    sx: &PackedForms,
+    sy: &PackedForms,
+    hist: &Histogram,
+    full: u64,
+) -> Result<(), String> {
+    let intervals: Vec<(u64, u64)> = (0..=full)
+        .flat_map(|lo| (lo..=full).map(move |hi| (lo, hi)))
+        .collect();
+    for &(ul, uh) in &intervals {
+        for &(vl, vh) in &intervals {
+            let dp = joint_interval_packed(sx, ul, uh, sy, vl, vh);
+            let oracle = hist.interval(ul, uh, vl, vh);
+            if (dp - oracle).abs() >= 1e-9 {
+                return Err(format!(
+                    "interval [{ul},{uh})x[{vl},{vh}): dp={dp} oracle={oracle}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every DP entry point equals exhaustive enumeration for arbitrary
-    /// partial seeds, inputs and **all** threshold pairs.
+    /// The clique/MPC kernels equal exhaustive enumeration for arbitrary
+    /// partial seeds, inputs and **all** threshold and interval pairs.
     #[test]
     fn dp_matches_histogram_oracle(
         m in 1u32..=8,
@@ -127,13 +160,14 @@ proptest! {
         prop_assume!(seed.free_count() <= 14);
 
         let hist = Histogram::build(&fam, &seed, x, y);
+        let (sx, sy) = (fam.packed_forms_for(&seed, x), fam.packed_forms_for(&seed, y));
         let full = 1u64 << b;
         for tx in 0..=full {
             for ty in 0..=full {
-                check_thresholds(&fam, &seed, &hist, x, tx, y, ty)
-                    .map_err(TestCaseError::Fail)?;
+                check_thresholds(&sx, &sy, &hist, tx, ty).map_err(TestCaseError::Fail)?;
             }
         }
+        check_intervals(&sx, &sy, &hist, full).map_err(TestCaseError::Fail)?;
     }
 
     /// The prefix-cached evaluator against ground truth through a **real**
@@ -141,7 +175,8 @@ proptest! {
     /// (exactly the Lemma 2.6 drivers' order), both candidate values are
     /// evaluated through one warm per-edge cache, and each result is
     /// checked against exhaustive enumeration of the correspondingly fixed
-    /// seed and bitwise against the stateless evaluator.
+    /// seed and bitwise against `joint_coin_probs_packed` on packed forms
+    /// carrying the same fix.
     #[test]
     fn incremental_matches_histogram_across_monotone_schedule(
         m in 1u32..=3,
@@ -168,10 +203,11 @@ proptest! {
                 let got = incremental::joint_coin_probs_override(
                     &mut cache, &fx, ox, tx, &fy, oy, ty, slice,
                 );
-                // Bitwise vs the stateless evaluator.
-                let want = fam.joint_coin_probs_override(
-                    &fx, Some((slice, ox)), tx, &fy, Some((slice, oy)), ty,
-                );
+                // Bitwise vs the packed kernel on the fixed forms.
+                let (mut sx, mut sy) = (PackedForms::from_forms(&fx), PackedForms::from_forms(&fy));
+                sx.set_form(slice, ox);
+                sy.set_form(slice, oy);
+                let want = joint_coin_probs_packed(&sx, tx, &sy, ty);
                 prop_assert_eq!(
                     got.map(f64::to_bits),
                     want.map(f64::to_bits),
@@ -220,35 +256,31 @@ fn all_five_pair_dist_cases_covered_and_oracle_checked() {
     seed.fix(0, true); // r₀ of slice 0
     seed.fix(2, true); // s of slice 0
 
-    assert!(matches!(
-        fam.pair_dist(&seed, 0, 1, 1),
-        PairDist::BothKnown(..)
-    ));
-    assert!(matches!(
-        fam.pair_dist(&seed, 0, 1, 2),
-        PairDist::FirstKnown(..)
-    ));
-    assert!(matches!(
-        fam.pair_dist(&seed, 0, 2, 1),
-        PairDist::SecondKnown(..)
-    ));
-    assert!(matches!(
-        fam.pair_dist(&seed, 1, 1, 1),
-        PairDist::Correlated(..)
-    ));
-    assert!(matches!(
-        fam.pair_dist(&seed, 1, 1, 2),
-        PairDist::Independent
-    ));
+    let pair_dist = |slice: usize, x: u64, y: u64| {
+        pair_dist_of_forms(
+            fam.forms_for(&seed, x)[slice],
+            fam.forms_for(&seed, y)[slice],
+        )
+    };
+    assert!(matches!(pair_dist(0, 1, 1), PairDist::BothKnown(..)));
+    assert!(matches!(pair_dist(0, 1, 2), PairDist::FirstKnown(..)));
+    assert!(matches!(pair_dist(0, 2, 1), PairDist::SecondKnown(..)));
+    assert!(matches!(pair_dist(1, 1, 1), PairDist::Correlated(..)));
+    assert!(matches!(pair_dist(1, 1, 2), PairDist::Independent));
 
     // Input pairs chosen so the two slices jointly walk through every
     // case combination the DP has to aggregate.
     for (x, y) in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 3)] {
         let hist = Histogram::build(&fam, &seed, x, y);
+        let (sx, sy) = (
+            fam.packed_forms_for(&seed, x),
+            fam.packed_forms_for(&seed, y),
+        );
         for tx in 0..=4 {
             for ty in 0..=4 {
-                check_thresholds(&fam, &seed, &hist, x, tx, y, ty).unwrap();
+                check_thresholds(&sx, &sy, &hist, tx, ty).unwrap();
             }
         }
+        check_intervals(&sx, &sy, &hist, 4).unwrap();
     }
 }

@@ -1,10 +1,24 @@
 //! Property-based tests for the pseudorandomness toolkit: the exact DP for
-//! conditional probabilities is compared against brute-force enumeration on
-//! arbitrary partial seeds, inputs and thresholds.
+//! conditional probabilities, reached through the drivers' kernel
+//! `joint_coin_probs_packed` on the family's packed forms, is compared
+//! against brute-force enumeration on arbitrary partial seeds, inputs and
+//! thresholds.
 
 use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::{coin_threshold, SliceFamily};
+use dcl_kernels::digit_dp::joint_coin_probs_packed;
 use proptest::prelude::*;
+
+/// `[p00, p01, p10, p11]` of the coins `[z(x) < t_x]`, `[z(y) < t_y]`.
+fn coin_probs(fam: &SliceFamily, seed: &PartialSeed, x: u64, tx: u64, y: u64, ty: u64) -> [f64; 4] {
+    let (sx, sy) = (fam.packed_forms_for(seed, x), fam.packed_forms_for(seed, y));
+    joint_coin_probs_packed(&sx, tx, &sy, ty)
+}
+
+/// `Pr[z(x) < t]`: with a certain second coin, `p11` is the marginal.
+fn prob_lt(fam: &SliceFamily, seed: &PartialSeed, x: u64, t: u64) -> f64 {
+    coin_probs(fam, seed, x, t, x, 1 << fam.output_bits())[3]
+}
 
 fn brute_force(seed: &PartialSeed, mut pred: impl FnMut(&PartialSeed) -> bool) -> f64 {
     let mut hits = 0u64;
@@ -41,7 +55,7 @@ proptest! {
             }
         }
         prop_assume!(seed.free_count() <= 16);
-        let dp = fam.prob_lt(&seed, x, t);
+        let dp = prob_lt(&fam, &seed, x, t);
         let bf = brute_force(&seed, |s| fam.evaluate(s, x) < t);
         prop_assert!((dp - bf).abs() < 1e-9, "dp={dp} bf={bf}");
     }
@@ -70,7 +84,7 @@ proptest! {
             }
         }
         prop_assume!(seed.free_count() <= 14);
-        let dp = fam.prob_joint_lt(&seed, x, tx, y, ty);
+        let dp = coin_probs(&fam, &seed, x, tx, y, ty)[3];
         let bf = brute_force(&seed, |s| fam.evaluate(s, x) < tx && fam.evaluate(s, y) < ty);
         prop_assert!((dp - bf).abs() < 1e-9, "dp={dp} bf={bf}");
     }
@@ -92,12 +106,12 @@ proptest! {
         let full = 1u64 << b;
         let (tx, ty) = (tx_raw % (full + 1), ty_raw % (full + 1));
         let seed = PartialSeed::new(fam.seed_len());
-        let q = fam.joint_coin_probs(&seed, x, tx, y, ty);
+        let q = coin_probs(&fam, &seed, x, tx, y, ty);
         let sum: f64 = q.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-9);
-        let px = fam.prob_lt(&seed, x, tx);
+        let px = prob_lt(&fam, &seed, x, tx);
         prop_assert!(((q[2] + q[3]) - px).abs() < 1e-9, "marginal x");
-        let py = fam.prob_lt(&seed, y, ty);
+        let py = prob_lt(&fam, &seed, y, ty);
         prop_assert!(((q[1] + q[3]) - py).abs() < 1e-9, "marginal y");
     }
 

@@ -3,13 +3,14 @@
 //! This is most of Theorem 1.1's runtime: every conflict edge × every seed
 //! bit × both candidate values needs the exact `O(b)` digit DP over the
 //! joint distribution of two hash outputs (see `DESIGN.md` §8 for the
-//! measured share). Each public function here has one implementation:
+//! measured share). The drivers reach it through three entry points, each
+//! with one implementation:
 //!
-//! - the stateless entry points (`*_override`, `*_packed`) run the SoA
-//!   evaluator in `scalar`: the forms packed into [`PackedForms`]
-//!   (`mask` array + `known`/`offset` bitsets), the per-digit case split
+//! - [`joint_coin_probs_packed`] runs the SoA evaluator in `scalar` on
+//!   forms the clique/MPC drivers keep packed in [`PackedForms`] (`mask`
+//!   array + `known`/`offset` bitsets): the per-digit case split is
 //!   resolved by integer bit tests, and the DP transition (`DigitPmf`)
-//!   replaying the reference's float operations in the reference's order;
+//!   replays the reference's float operations in the reference's order;
 //! - [`edge_shares_cached`] runs the prefix-cached evaluator in
 //!   [`incremental`]: the DP state over the leading digits `b-1..s+1` is
 //!   invariant for the whole window of slice `s`, so an evaluation
@@ -25,10 +26,12 @@
 //! `to_bits` equality.
 //!
 //! Thresholds may be up to `2^b` *inclusive* (the reference's guard
-//! clauses); `b` is the forms-slice length, at most 63. Every public entry
-//! point rejects `b ≥ 64` with a panic: `1 << 64` does not fit a `u64`,
-//! and a release build would otherwise mask the shift and return wrong
-//! probabilities.
+//! clauses); `b` is the forms-slice length, at most 63. `b ≥ 64` is
+//! rejected with a panic where forms enter the kernels — by
+//! [`PackedForms::from_forms`] (so no packed entry point ever sees such an
+//! input), [`edge_shares_cached`] and the reference: `1 << 64` does not
+//! fit a `u64`, and a release build would otherwise mask the shift and
+//! return wrong probabilities.
 
 use crate::forms::BitForm;
 
@@ -75,7 +78,13 @@ pub struct PackedForms {
 }
 
 impl PackedForms {
-    fn pack(forms: &[BitForm], over: Option<(usize, BitForm)>) -> PackedForms {
+    /// Packs `forms` (index `i` = output bit `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `forms.len() ≥ 64`.
+    #[must_use]
+    pub fn from_forms(forms: &[BitForm]) -> PackedForms {
         assert_width(forms.len());
         let mut s = PackedForms {
             b: forms.len(),
@@ -84,11 +93,7 @@ impl PackedForms {
             offset: 0,
             s_free: 0,
         };
-        for (i, form) in forms.iter().enumerate() {
-            let f = match over {
-                Some((oi, o)) if oi == i => o,
-                _ => *form,
-            };
+        for (i, f) in forms.iter().enumerate() {
             s.masks[i] = f.mask;
             if f.is_known() {
                 s.known |= 1 << i;
@@ -101,16 +106,6 @@ impl PackedForms {
             }
         }
         s
-    }
-
-    /// Packs `forms` (index `i` = output bit `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `forms.len() ≥ 64`.
-    #[must_use]
-    pub fn from_forms(forms: &[BitForm]) -> PackedForms {
-        PackedForms::pack(forms, None)
     }
 
     /// Number of digits.
@@ -280,66 +275,11 @@ impl DigitPmf {
     }
 }
 
-/// `Pr[z < t]` over the free bits of `forms`, with position `i` replaced by
-/// `f` when `over = Some((i, f))`. `t` may be `2^b` (inclusive) → 1.
-///
-/// # Panics
-///
-/// Panics when `forms.len() ≥ 64`.
-#[must_use]
-pub fn prob_lt_override(forms: &[BitForm], over: Option<(usize, BitForm)>, t: u64) -> f64 {
-    scalar::prob_lt(&PackedForms::pack(forms, over), t)
-}
-
-/// `Pr[z_x < t_x ∧ z_y < t_y]` over the shared free seed bits, with
-/// per-input single-position overrides.
-///
-/// # Panics
-///
-/// Panics when the inputs have 64 or more digits.
-#[must_use]
-pub fn prob_joint_lt_override(
-    forms_x: &[BitForm],
-    over_x: Option<(usize, BitForm)>,
-    t_x: u64,
-    forms_y: &[BitForm],
-    over_y: Option<(usize, BitForm)>,
-    t_y: u64,
-) -> f64 {
-    scalar::prob_joint_lt(
-        &PackedForms::pack(forms_x, over_x),
-        t_x,
-        &PackedForms::pack(forms_y, over_y),
-        t_y,
-    )
-}
-
-/// Joint threshold-coin probabilities `[p00, p01, p10, p11]` with per-input
-/// single-position overrides.
-///
-/// # Panics
-///
-/// Panics when the inputs have 64 or more digits.
-#[must_use]
-pub fn joint_coin_probs_override(
-    forms_x: &[BitForm],
-    over_x: Option<(usize, BitForm)>,
-    t_x: u64,
-    forms_y: &[BitForm],
-    over_y: Option<(usize, BitForm)>,
-    t_y: u64,
-) -> [f64; 4] {
-    scalar::joint_coin_probs(
-        &PackedForms::pack(forms_x, over_x),
-        t_x,
-        &PackedForms::pack(forms_y, over_y),
-        t_y,
-    )
-}
-
-/// [`joint_coin_probs_override`] without overrides, on pre-packed inputs —
-/// the drivers' scratch forms live in the SoA layout, so no per-call pack
-/// happens.
+/// Joint threshold-coin probabilities `[p00, p01, p10, p11]` of
+/// `([z_x < t_x], [z_y < t_y])` over the shared free seed bits, on
+/// pre-packed inputs — the clique/MPC drivers' scratch forms live in the
+/// SoA layout, so no per-call pack happens. Thresholds may be up to `2^b`
+/// inclusive.
 #[must_use]
 pub fn joint_coin_probs_packed(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y: u64) -> [f64; 4] {
     scalar::joint_coin_probs(sx, t_x, sy, t_y)
@@ -458,12 +398,14 @@ mod tests {
     #[test]
     fn entry_points_match_reference_on_sample() {
         let (fx, fy) = sample_forms();
+        let (sx, sy) = (PackedForms::from_forms(&fx), PackedForms::from_forms(&fy));
+        let coins = joint_coin_probs_packed(&sx, 11, &sy, 6);
         assert_eq!(
-            prob_joint_lt_override(&fx, None, 11, &fy, None, 6).to_bits(),
+            coins[3].to_bits(),
             reference::prob_joint_lt_override(&fx, None, 11, &fy, None, 6).to_bits(),
         );
         assert_eq!(
-            joint_coin_probs_override(&fx, None, 11, &fy, None, 6).map(f64::to_bits),
+            coins.map(f64::to_bits),
             reference::joint_coin_probs_override(&fx, None, 11, &fy, None, 6).map(f64::to_bits),
         );
     }
@@ -471,12 +413,18 @@ mod tests {
     #[test]
     fn guards_handle_inclusive_thresholds() {
         let (fx, fy) = sample_forms();
-        let joint = |tx, ty| prob_joint_lt_override(&fx, None, tx, &fy, None, ty);
-        let marg = |f: &[BitForm], t| prob_lt_override(f, None, t);
+        let (sx, sy) = (PackedForms::from_forms(&fx), PackedForms::from_forms(&fy));
+        let joint = |tx, ty| joint_coin_probs_packed(&sx, tx, &sy, ty)[3];
+        let marg = |f: &[BitForm], t| reference::prob_lt_override(f, None, t);
         assert_eq!(joint(16, 16), 1.0);
-        assert_eq!(marg(&fx, 16), 1.0);
+        assert_eq!(joint_interval_packed(&sx, 0, 16, &sy, 0, 16), 1.0);
+        // A certain coin reduces the joint DP to the other coin's marginal.
         assert_eq!(joint(16, 5).to_bits(), marg(&fy, 5).to_bits());
         assert_eq!(joint(7, 16).to_bits(), marg(&fx, 7).to_bits());
+        assert_eq!(
+            joint_interval_packed(&sx, 0, 7, &sy, 0, 16).to_bits(),
+            marg(&fx, 7).to_bits()
+        );
     }
 
     #[test]
@@ -568,12 +516,19 @@ mod tests {
     fn width_63_is_exact_at_both_ends() {
         let free: Vec<BitForm> = (0..63).map(|i| form(false, 1 << i, true)).collect();
         let full = 1u64 << 63;
-        assert_eq!(prob_lt_override(&free, None, full), 1.0);
-        assert_eq!(prob_lt_override(&free, None, full / 2), 0.5);
-        assert_eq!(prob_lt_override(&free, None, 5), 5.0 / full as f64);
+        let s = PackedForms::from_forms(&free);
+        // With the second coin certain, `p11` is the first coin's marginal.
+        let marg = |t| joint_coin_probs_packed(&s, t, &s, full)[3];
+        assert_eq!(marg(full), 1.0);
+        assert_eq!(marg(full / 2), 0.5);
+        assert_eq!(marg(5), 5.0 / full as f64);
         assert_eq!(
-            prob_joint_lt_override(&free, None, 5, &free, None, full).to_bits(),
+            marg(5).to_bits(),
             reference::prob_lt_override(&free, None, 5).to_bits()
+        );
+        assert_eq!(
+            joint_interval_packed(&s, 0, 5, &s, 0, full).to_bits(),
+            marg(5).to_bits()
         );
     }
 

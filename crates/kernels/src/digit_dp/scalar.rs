@@ -6,14 +6,15 @@
 //! the entries the reference loop visits, in the same order, through the
 //! reference's transition body. So every accumulator sees the same float
 //! operations in the same order. What this evaluator removes is overhead
-//! *around* the float ops: the per-position override branch (pre-applied
-//! by the pack), the `PairDist` enum and its `[f64; 4]` pmf
-//! materialization, and the zero-probability float compares.
+//! *around* the float ops: the per-position override branch (the drivers
+//! apply each fix to their packed forms in place), the `PairDist` enum and
+//! its `[f64; 4]` pmf materialization, and the zero-probability float
+//! compares.
 
 use super::{marg_step, DigitPmf, PackedForms};
 
 /// Marginal digit DP on a packed input. Same op sequence as
-/// [`super::reference::prob_lt_override`]; any override is already packed.
+/// [`super::reference::prob_lt_override`] without an override.
 pub(crate) fn prob_lt(s: &PackedForms, t: u64) -> f64 {
     if t >= 1 << s.b {
         return 1.0;

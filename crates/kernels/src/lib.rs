@@ -6,10 +6,11 @@
 //! the bit-accounting ([`bits`]) and ratio ([`ratio`]) arithmetic the
 //! drivers and the wire-cost model share.
 //!
-//! Every production entry point has exactly one implementation:
+//! The drivers reach the digit DP through three entry points, each with
+//! exactly one implementation:
 //!
-//! - the stateless digit-DP entry points run the SoA (struct-of-arrays)
-//!   evaluator on [`digit_dp::PackedForms`];
+//! - `joint_coin_probs_packed` runs the SoA (struct-of-arrays) evaluator
+//!   on [`digit_dp::PackedForms`];
 //! - `edge_shares_cached` runs the prefix-cached evaluator
 //!   ([`digit_dp::incremental`]), which replays only the digits the
 //!   monotone seed schedule can still change;
@@ -31,8 +32,9 @@
 //! order of any single float accumulator*. The cached prefix of the
 //! incremental evaluator and the interleaved corners of the interval
 //! evaluator both obey it. The bitwise equivalence suite in
-//! `tests/tier_equivalence.rs` and the brute-force oracle in
-//! `dcl_derand/tests/digit_dp_oracle.rs` enforce the contract.
+//! `tests/tier_equivalence.rs` enforces the contract, and the brute-force
+//! oracle in `dcl_derand/tests/digit_dp_oracle.rs` checks all three entry
+//! points against exhaustive seed enumeration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

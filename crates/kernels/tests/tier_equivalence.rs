@@ -1,8 +1,7 @@
 //! Bitwise equivalence of every production digit-DP entry point with the
 //! reference oracle.
 //!
-//! Each public entry point (`prob_lt_override`, `prob_joint_lt_override`,
-//! `joint_coin_probs_override`, `joint_coin_probs_packed`,
+//! Each entry point the drivers run (`joint_coin_probs_packed`,
 //! `joint_interval_packed`, `edge_shares_cached`) must produce
 //! **bit-identical** `f64` results to `digit_dp::reference` — the
 //! float-association rule of the crate docs, checked with `to_bits`
@@ -97,14 +96,14 @@ fn threshold(raw: u64, full: u64) -> u64 {
     }
 }
 
-/// `forms` with position `p` replaced by `f` — the override applied by
-/// hand, for the packed entry points.
-fn with_override(forms: &[BitForm], over: Option<(usize, BitForm)>) -> Vec<BitForm> {
-    let mut out = forms.to_vec();
+/// `forms` packed, with position `p` replaced by `f` in place — the way
+/// the clique/MPC drivers apply a fix to their packed scratch forms.
+fn packed_with_override(forms: &[BitForm], over: Option<(usize, BitForm)>) -> PackedForms {
+    let mut packed = PackedForms::from_forms(forms);
     if let Some((p, f)) = over {
-        out[p] = f;
+        packed.set_form(p, f);
     }
-    out
+    packed
 }
 
 /// `joint_interval_packed` vs the reference on unpacked forms.
@@ -119,9 +118,9 @@ fn interval_bits(fu: &[BitForm], fv: &[BitForm], [ul, uh, vl, vh]: [u64; 4]) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Marginal, joint and four-outcome coin DPs equal the reference
-    /// bitwise, with and without single-position overrides, through both
-    /// the override and the packed entry points.
+    /// Marginal, joint and four-outcome coin DPs through
+    /// `joint_coin_probs_packed` equal the reference bitwise, with and
+    /// without a single-position override applied to the packed forms.
     #[test]
     fn digit_dp_probs_match_reference(
         b in 1usize..=6,
@@ -148,32 +147,27 @@ proptest! {
             (None, None)
         };
 
-        for (forms, over, t) in [(&fx, over_x, tx), (&fy, over_y, ty)] {
+        let sx = packed_with_override(&fx, over_x);
+        let sy = packed_with_override(&fy, over_y);
+        // With the second coin certain, `p11` is the first coin's marginal.
+        for (forms, over, s, t) in [(&fx, over_x, &sx, tx), (&fy, over_y, &sy, ty)] {
             prop_assert_eq!(
-                digit_dp::prob_lt_override(forms, over, t).to_bits(),
+                digit_dp::joint_coin_probs_packed(s, t, s, full)[3].to_bits(),
                 reference::prob_lt_override(forms, over, t).to_bits(),
                 "marginal t={}", t
             );
         }
+        let coins = digit_dp::joint_coin_probs_packed(&sx, tx, &sy, ty);
         prop_assert_eq!(
-            digit_dp::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits(),
+            coins[3].to_bits(),
             reference::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits(),
             "joint t=({}, {})", tx, ty
         );
-        let want = reference::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
-            .map(f64::to_bits);
         prop_assert_eq!(
-            digit_dp::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
+            coins.map(f64::to_bits),
+            reference::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
                 .map(f64::to_bits),
-            want,
             "coins t=({}, {})", tx, ty
-        );
-        let sx = PackedForms::from_forms(&with_override(&fx, over_x));
-        let sy = PackedForms::from_forms(&with_override(&fy, over_y));
-        prop_assert_eq!(
-            digit_dp::joint_coin_probs_packed(&sx, tx, &sy, ty).map(f64::to_bits),
-            want,
-            "packed coins t=({}, {})", tx, ty
         );
     }
 
@@ -531,26 +525,9 @@ fn wide_forms() -> Vec<BitForm> {
         .collect()
 }
 
-#[test]
-#[should_panic(expected = "at most 63 digits")]
-fn prob_lt_override_rejects_64_digits() {
-    let _ = digit_dp::prob_lt_override(&wide_forms(), None, 5);
-}
-
-#[test]
-#[should_panic(expected = "at most 63 digits")]
-fn joint_coin_probs_override_rejects_64_digits() {
-    let f = wide_forms();
-    let _ = digit_dp::joint_coin_probs_override(&f, None, 5, &f, None, 7);
-}
-
-#[test]
-#[should_panic(expected = "at most 63 digits")]
-fn prob_joint_lt_override_rejects_64_digits() {
-    let f = wide_forms();
-    let _ = digit_dp::prob_joint_lt_override(&f, None, 5, &f, None, 7);
-}
-
+/// The width guard of both packed entry points: a `PackedForms` can only
+/// be built by `from_forms`, so its assert is what keeps a 64-digit input
+/// out of `joint_coin_probs_packed` and `joint_interval_packed`.
 #[test]
 #[should_panic(expected = "at most 63 digits")]
 fn packed_forms_reject_64_digits() {

@@ -15,7 +15,8 @@
 //!   caps ([`sim::BandwidthCap`]), unified metrics, CONGEST's neighbor
 //!   addressing and the backend-aware round engine every model runs on.
 //! - [`congest`] — CONGEST model simulator (rounds, bandwidth, BFS trees).
-//! - [`derand`] — hash families, biased coins, conditional expectations.
+//! - [`derand`] — the slice hash family, Lemma 2.5 coin thresholds and
+//!   partially fixed seeds for the method of conditional expectations.
 //! - [`coloring`] — the paper's core algorithms (Algorithm 1, Lemmas 2.1–2.6,
 //!   Theorem 1.1, Linial's coloring, bounded-degree MIS, baselines).
 //! - [`decomp`] — network decomposition (Definition 3.1, RG19-style

@@ -13,6 +13,7 @@ use distributed_coloring::delta::{delta_color, DeltaColoringConfig, DeltaError};
 use distributed_coloring::derand::seed::PartialSeed;
 use distributed_coloring::derand::slice::SliceFamily;
 use distributed_coloring::graphs::{generators, metrics, validation};
+use distributed_coloring::kernels::digit_dp::joint_coin_probs_packed;
 use distributed_coloring::mpc::{mpc_color_linear, mpc_color_sublinear};
 
 #[test]
@@ -38,8 +39,15 @@ fn congest_reexport_runs_a_metered_round() {
 fn derand_reexport_evaluates_the_slice_family() {
     let fam = SliceFamily::new(3, 4);
     let mut seed = PartialSeed::new(fam.seed_len());
-    let p = fam.prob_lt(&seed, 0b101, 6);
-    assert!((p - 6.0 / 16.0).abs() < 1e-12, "uniform before fixing: {p}");
+    let (sx, sy) = (
+        fam.packed_forms_for(&seed, 0b101),
+        fam.packed_forms_for(&seed, 0b010),
+    );
+    let [_, _, _, p] = joint_coin_probs_packed(&sx, 6, &sy, 8);
+    assert!(
+        (p - 6.0 / 16.0 * 8.0 / 16.0).abs() < 1e-12,
+        "independent and uniform before fixing: {p}"
+    );
     for i in 0..fam.seed_len() {
         seed.fix(i, false);
     }
